@@ -672,6 +672,30 @@ func BenchmarkDeriveRingFrontierLazyEngine(b *testing.B) {
 	benchFamilyLazyEngine(b, specgen.Ring(6))
 }
 
+// BenchmarkDeriveRing6Emit is the emission smoke: a full ring(6)
+// derivation, whose 24,641-state maximal converter makes laying out the
+// result a visible share of the work. It reports allocs/op for the whole
+// derivation and the emit layer's own wall time, so a regression in
+// emission (a return to per-edge string maps, a second trim) shows up in
+// the benchsmoke output.
+func BenchmarkDeriveRing6Emit(b *testing.B) {
+	f := specgen.Ring(6)
+	b.ReportAllocs()
+	var emit time.Duration
+	for i := 0; i < b.N; i++ {
+		env, err := compose.LazyMany(f.Components...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := core.DeriveEnv(f.Service, env, core.Options{OmitVacuous: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		emit += res.Stats.Metrics.EmitWall
+	}
+	b.ReportMetric(float64(emit.Microseconds())/1e3/float64(b.N), "emit-ms/op")
+}
+
 // BenchmarkDeriveAllocBudgetChain7 is the allocation-regression smoke: a
 // chain(7) demand-driven derivation must stay under a pinned heap budget.
 // The ceiling is ~1.5× the measured cost (chain(7) allocates ~61 MB

@@ -47,6 +47,7 @@ type Run struct {
 	DeriveNs   int64 `json:"derive_ns"`
 	SafetyNs   int64 `json:"safety_ns"`
 	ProgressNs int64 `json:"progress_ns"`
+	EmitNs     int64 `json:"emit_ns,omitempty"`
 	TotalNs    int64 `json:"total_ns"`
 
 	AllocBytes uint64 `json:"alloc_bytes"`
@@ -113,10 +114,10 @@ func parseInts(s string) ([]int, error) {
 
 // measurement is one repetition's outcome.
 type measurement struct {
-	composeNs, deriveNs, safetyNs, progressNs int64
-	bStates                                   int
-	stats                                     core.Stats
-	timedOut                                  bool
+	composeNs, deriveNs, safetyNs, progressNs, emitNs int64
+	bStates                                           int
+	stats                                             core.Stats
+	timedOut                                          bool
 }
 
 // runOnce executes one compose+derive repetition with the chosen engine.
@@ -185,6 +186,7 @@ func runOnce(f specgen.Family, engine string, workers int, timeout time.Duration
 	}
 	m.safetyNs = m.stats.Metrics.SafetyWall.Nanoseconds()
 	m.progressNs = m.stats.Metrics.ProgressWall.Nanoseconds()
+	m.emitNs = m.stats.Metrics.EmitWall.Nanoseconds()
 	return m, nil
 }
 
@@ -259,7 +261,7 @@ func run(label, families, workers, engines string, reps int, timeout time.Durati
 					if i == 0 || total < r.TotalNs {
 						r.TotalNs = total
 						r.ComposeNs, r.DeriveNs = m.composeNs, m.deriveNs
-						r.SafetyNs, r.ProgressNs = m.safetyNs, m.progressNs
+						r.SafetyNs, r.ProgressNs, r.EmitNs = m.safetyNs, m.progressNs, m.emitNs
 					}
 					r.BStates = m.bStates
 					r.SafetyStates = m.stats.SafetyStates
@@ -293,10 +295,10 @@ func run(label, families, workers, engines string, reps int, timeout time.Durati
 					r.Allocs = after.Mallocs - before.Mallocs
 				}
 				doc.Runs = append(doc.Runs, r)
-				fmt.Fprintf(os.Stderr, "%s %s engine=%s workers=%d: total=%s compose=%s derive=%s (safety=%s progress=%s) env=%d/%d allocs=%d timedout=%v\n",
+				fmt.Fprintf(os.Stderr, "%s %s engine=%s workers=%d: total=%s compose=%s derive=%s (safety=%s progress=%s emit=%s) env=%d/%d allocs=%d timedout=%v\n",
 					label, f.Name, engine, w,
 					time.Duration(r.TotalNs), time.Duration(r.ComposeNs), time.Duration(r.DeriveNs),
-					time.Duration(r.SafetyNs), time.Duration(r.ProgressNs),
+					time.Duration(r.SafetyNs), time.Duration(r.ProgressNs), time.Duration(r.EmitNs),
 					r.EnvStatesExpanded, r.EnvStatesTotal, r.Allocs, r.TimedOut)
 			}
 		}

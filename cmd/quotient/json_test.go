@@ -72,7 +72,7 @@ func TestRunJSONMatchesServerEnvelope(t *testing.T) {
 	}
 	// Stats must agree exactly except for wall times, which measure the run.
 	clearWall := func(s api.WireStats) api.WireStats {
-		s.SafetyWallMS, s.ProgressWallMS, s.EnvExpansionMS = 0, 0, 0
+		s.SafetyWallMS, s.ProgressWallMS, s.EmitWallMS, s.EnvExpansionMS = 0, 0, 0, 0
 		return s
 	}
 	if clearWall(*daemon.Stats) != clearWall(*cli.Stats) {

@@ -337,9 +337,9 @@ func printStats(w io.Writer, s core.Stats) {
 	fmt.Fprintf(w, "converter:      %d states, %d transitions\n",
 		s.FinalStates, s.FinalTransitions)
 	m := s.Metrics
-	fmt.Fprintf(w, "engine:         %d worker(s), safety %s (%d levels, peak frontier %d), progress %s (%d scans)\n",
+	fmt.Fprintf(w, "engine:         %d worker(s), safety %s (%d levels, peak frontier %d), progress %s (%d scans), emit %s\n",
 		m.Workers, m.SafetyWall.Round(time.Microsecond), m.SafetyLevels, m.PeakFrontier,
-		m.ProgressWall.Round(time.Microsecond), m.ProgressScans)
+		m.ProgressWall.Round(time.Microsecond), m.ProgressScans, m.EmitWall.Round(time.Microsecond))
 	fmt.Fprintf(w, "interning:      %d lookups, %d hits (%.1f%% hit rate)",
 		m.InternLookups, m.InternHits, 100*m.InternHitRate())
 	if m.InternShards > 1 {

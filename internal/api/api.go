@@ -127,6 +127,7 @@ type WireStats struct {
 	Workers            int     `json:"workers"`
 	SafetyWallMS       float64 `json:"safety_wall_ms"`
 	ProgressWallMS     float64 `json:"progress_wall_ms"`
+	EmitWallMS         float64 `json:"emit_wall_ms"`
 	SafetyLevels       int     `json:"safety_levels"`
 	PeakFrontier       int     `json:"peak_frontier"`
 	InternLookups      int     `json:"intern_lookups"`
@@ -160,6 +161,7 @@ func StatsFromCore(s core.Stats) *WireStats {
 		Workers:            m.Workers,
 		SafetyWallMS:       DurMS(m.SafetyWall),
 		ProgressWallMS:     DurMS(m.ProgressWall),
+		EmitWallMS:         DurMS(m.EmitWall),
 		SafetyLevels:       m.SafetyLevels,
 		PeakFrontier:       m.PeakFrontier,
 		InternLookups:      m.InternLookups,

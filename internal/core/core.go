@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"time"
 
 	"protoquot/internal/compose"
@@ -305,7 +306,7 @@ type cstate struct {
 	succ []int32 // by intl position; -1 = no transition; nil until expanded
 }
 
-func (d *deriver) stateName(i int32) string { return fmt.Sprintf("c%d", i) }
+func (d *deriver) stateName(i int32) string { return "c" + strconv.Itoa(int(i)) }
 
 // Derive computes the quotient of A by B. A must be in normal form with
 // Σ_A ⊆ Σ_B; Int is inferred as Σ_B − Σ_A. On success the Result carries
@@ -672,28 +673,12 @@ func (d *deriver) run() (*Result, error) {
 	}
 
 	// ---- Emit the converter spec ----
-	bld := spec.NewBuilder(fmt.Sprintf("C(%s/%s)", d.a.Name(), d.bs[0].Name()))
-	for _, e := range d.intl {
-		bld.Event(e)
-	}
-	bld.Init(d.stateName(0))
-	for ci := range d.states {
-		if !alive[ci] {
-			continue
-		}
-		name := d.stateName(int32(ci))
-		bld.State(name)
-		for ei, t := range d.states[ci].succ {
-			if t >= 0 && alive[t] {
-				bld.Ext(name, d.intl[ei], d.stateName(t))
-			}
-		}
-	}
-	c, err := bld.Build()
+	t2 := time.Now()
+	c, err := emitter(d, alive)
+	d.met.EmitWall = time.Since(t2)
 	if err != nil {
 		return nil, fmt.Errorf("quotient: building converter: %w", err)
 	}
-	c = c.Trim()
 	res.Converter = c
 	res.Exists = true
 	res.Stats.FinalStates = c.NumStates()

@@ -13,9 +13,11 @@ type Metrics struct {
 	// Workers is the resolved worker count the safety phase ran with
 	// (Options.Workers, floored at 1).
 	Workers int
-	// SafetyWall / ProgressWall are per-phase wall times.
+	// SafetyWall / ProgressWall are per-phase wall times; EmitWall is the
+	// wall time of laying the surviving states out as the converter spec.
 	SafetyWall   time.Duration
 	ProgressWall time.Duration
+	EmitWall     time.Duration
 	// StatesExpanded counts converter states whose φ successors were
 	// computed (equals SafetyStates on a completed safety phase).
 	StatesExpanded int

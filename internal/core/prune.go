@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"protoquot/internal/spec"
 )
@@ -84,50 +85,53 @@ func removeState(cur *spec.Spec, victim spec.State) *spec.Spec {
 	if victim == cur.Init() {
 		return nil
 	}
-	b := spec.NewBuilder(cur.Name())
-	for _, e := range cur.Alphabet() {
-		b.Event(e)
-	}
-	b.Init(cur.StateName(cur.Init()))
-	for st := 0; st < cur.NumStates(); st++ {
+	d := denseOf(cur)
+	for st := range d.Ext {
 		if spec.State(st) == victim {
+			d.Ext[st], d.Int[st] = nil, nil
 			continue
 		}
-		b.State(cur.StateName(spec.State(st)))
-		for _, ed := range cur.ExtEdges(spec.State(st)) {
-			if ed.To == victim {
-				continue
-			}
-			b.Ext(cur.StateName(spec.State(st)), ed.Event, cur.StateName(ed.To))
-		}
-		for _, t := range cur.IntEdges(spec.State(st)) {
-			if t == victim {
-				continue
-			}
-			b.Int(cur.StateName(spec.State(st)), cur.StateName(t))
-		}
+		d.Ext[st] = slices.DeleteFunc(slices.Clone(d.Ext[st]), func(ed spec.ExtEdge) bool { return ed.To == victim })
+		d.Int[st] = slices.DeleteFunc(slices.Clone(d.Int[st]), func(t spec.State) bool { return t == victim })
 	}
-	return b.MustBuild().Trim()
+	return buildTrimmed(d)
 }
 
 // removeEdge rebuilds cur without one external transition, trimmed.
 func removeEdge(cur *spec.Spec, from spec.State, victim spec.ExtEdge) *spec.Spec {
-	b := spec.NewBuilder(cur.Name())
-	for _, e := range cur.Alphabet() {
-		b.Event(e)
+	d := denseOf(cur)
+	d.Ext[from] = slices.DeleteFunc(slices.Clone(d.Ext[from]), func(ed spec.ExtEdge) bool { return ed == victim })
+	return buildTrimmed(d)
+}
+
+// denseOf lays cur out as a spec.Dense whose adjacency lists alias cur's
+// own, so callers clone a list before editing it. Rebuilding it
+// with spec.BuildTrimmed numbers states exactly as replaying cur into a
+// Builder and trimming did.
+func denseOf(cur *spec.Spec) spec.Dense {
+	n := cur.NumStates()
+	d := spec.Dense{
+		Name:       cur.Name(),
+		StateNames: make([]string, n),
+		Init:       cur.Init(),
+		Alphabet:   cur.Alphabet(),
+		Ext:        make([][]spec.ExtEdge, n),
+		Int:        make([][]spec.State, n),
 	}
-	b.Init(cur.StateName(cur.Init()))
-	for st := 0; st < cur.NumStates(); st++ {
-		b.State(cur.StateName(spec.State(st)))
-		for _, ed := range cur.ExtEdges(spec.State(st)) {
-			if spec.State(st) == from && ed == victim {
-				continue
-			}
-			b.Ext(cur.StateName(spec.State(st)), ed.Event, cur.StateName(ed.To))
-		}
-		for _, t := range cur.IntEdges(spec.State(st)) {
-			b.Int(cur.StateName(spec.State(st)), cur.StateName(t))
-		}
+	for st := 0; st < n; st++ {
+		d.StateNames[st] = cur.StateName(spec.State(st))
+		d.Ext[st] = cur.ExtEdges(spec.State(st))
+		d.Int[st] = cur.IntEdges(spec.State(st))
 	}
-	return b.MustBuild().Trim()
+	return d
+}
+
+// buildTrimmed is spec.BuildTrimmed for a Dense derived from a valid spec,
+// which cannot fail.
+func buildTrimmed(d spec.Dense) *spec.Spec {
+	s, err := spec.BuildTrimmed(d)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

@@ -103,7 +103,7 @@ func normalizeGolden(t *testing.T, body []byte) []byte {
 		v["elapsed_ms"] = 0
 	}
 	if stats, ok := v["stats"].(map[string]any); ok {
-		for _, k := range []string{"safety_wall_ms", "progress_wall_ms", "env_expansion_ms"} {
+		for _, k := range []string{"safety_wall_ms", "progress_wall_ms", "emit_wall_ms", "env_expansion_ms"} {
 			if _, ok := stats[k]; ok {
 				stats[k] = 0
 			}

@@ -37,14 +37,21 @@ func (s *Spec) finalize() {
 		}
 	}
 
-	// λ*-closure per state (sorted), by BFS over λ.
+	// λ*-closure per state (sorted), by BFS over λ. A state without λ
+	// edges is its own closure, carved from one shared identity array.
 	s.closure = make([][]State, n)
+	self := make([]State, n)
 	mark := make([]int, n)
 	for i := range mark {
+		self[i] = State(i)
 		mark[i] = -1
 	}
 	var queue []State
 	for st := 0; st < n; st++ {
+		if len(s.intl[st]) == 0 {
+			s.closure[st] = self[st : st+1 : st+1]
+			continue
+		}
 		queue = queue[:0]
 		queue = append(queue, State(st))
 		mark[st] = st
@@ -63,28 +70,30 @@ func (s *Spec) finalize() {
 		s.closure[st] = cl
 	}
 
-	// τ.s and τ*.s.
+	// τ.s is the distinct events of the sorted ext[st], so one linear pass
+	// dedupes it; all τ sets share one backing array of at most |T| events.
+	// τ*.s is τ.s itself when the λ*-closure is the state alone; only real
+	// λ-closures take the union through a set and a sort.
 	s.tau = make([][]Event, n)
 	s.tauStar = make([][]Event, n)
 	s.detExt = true
+	tauBuf := make([]Event, 0, s.numExt)
 	for st := 0; st < n; st++ {
-		seen := make(map[Event]struct{})
-		var prev Event
+		lo := len(tauBuf)
 		for i, ed := range s.ext[st] {
-			if i > 0 && ed.Event == prev {
+			if i > 0 && ed.Event == s.ext[st][i-1].Event {
 				s.detExt = false // two edges, same event (sorted adjacency)
+				continue
 			}
-			prev = ed.Event
-			seen[ed.Event] = struct{}{}
+			tauBuf = append(tauBuf, ed.Event)
 		}
-		evs := make([]Event, 0, len(seen))
-		for e := range seen {
-			evs = append(evs, e)
-		}
-		sortEvents(evs)
-		s.tau[st] = evs
+		s.tau[st] = tauBuf[lo:len(tauBuf):len(tauBuf)]
 	}
 	for st := 0; st < n; st++ {
+		if len(s.closure[st]) == 1 {
+			s.tauStar[st] = s.tau[st]
+			continue
+		}
 		seen := make(map[Event]struct{})
 		for _, u := range s.closure[st] {
 			for _, e := range s.tau[u] {
@@ -101,25 +110,7 @@ func (s *Spec) finalize() {
 	s.hasIntl = s.numIntl > 0
 
 	// Reachability from init via T ∪ λ.
-	s.reachSet = make([]bool, n)
-	stack := []State{s.init}
-	s.reachSet[s.init] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ed := range s.ext[u] {
-			if !s.reachSet[ed.To] {
-				s.reachSet[ed.To] = true
-				stack = append(stack, ed.To)
-			}
-		}
-		for _, v := range s.intl[u] {
-			if !s.reachSet[v] {
-				s.reachSet[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
+	s.reachSet = reachable(s.dense())
 }
 
 // computeSCCs runs an iterative Tarjan SCC over the λ-graph.
@@ -258,35 +249,6 @@ func (s *Spec) Reachable() []State {
 
 // IsReachable reports whether st is reachable from the initial state.
 func (s *Spec) IsReachable(st State) bool { return s.reachSet[st] }
-
-// Trim returns a copy of the spec restricted to reachable states. The
-// alphabet is preserved even if some events no longer label any transition
-// (the interface of a component is part of its identity). State names are
-// preserved.
-func (s *Spec) Trim() *Spec {
-	b := NewBuilder(s.name)
-	for _, e := range s.alphabet {
-		b.Event(e)
-	}
-	b.Init(s.stateNames[s.init])
-	for st := 0; st < s.NumStates(); st++ {
-		if !s.reachSet[st] {
-			continue
-		}
-		b.State(s.stateNames[st])
-		for _, ed := range s.ext[st] {
-			if s.reachSet[ed.To] {
-				b.Ext(s.stateNames[st], ed.Event, s.stateNames[ed.To])
-			}
-		}
-		for _, t := range s.intl[st] {
-			if s.reachSet[t] {
-				b.Int(s.stateNames[st], s.stateNames[t])
-			}
-		}
-	}
-	return b.MustBuild()
-}
 
 // subsetOf reports a ⊆ b for sorted event slices.
 func subsetOf(a, b []Event) bool {

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Dense is the raw material for FromDense: a specification already laid out
@@ -31,6 +32,20 @@ type Dense struct {
 // reachability) as Builder.Build. The input slices are copied; the caller
 // may reuse them.
 func FromDense(d Dense) (*Spec, error) {
+	s, err := canonicalDense(d)
+	if err != nil {
+		return nil, err
+	}
+	s.finalize()
+	return s, nil
+}
+
+// canonicalDense is FromDense without the derived analyses: it validates d
+// and copies it into a Spec whose adjacency is sorted and deduplicated. The
+// edge lists share one backing array per relation, and a list that already
+// arrives in canonical order (the common case for producers that emit edges
+// in event order) is only checked, not re-sorted.
+func canonicalDense(d Dense) (*Spec, error) {
 	n := len(d.StateNames)
 	if n == 0 {
 		return nil, fmt.Errorf("spec %s: no states defined", d.Name)
@@ -70,12 +85,17 @@ func FromDense(d Dense) (*Spec, error) {
 		s.alphaSet[e] = struct{}{}
 	}
 	sortEvents(s.alphabet)
+	extBuf := make([]ExtEdge, 0, totalLen(d.Ext))
 	for st, edges := range d.Ext {
 		if len(edges) == 0 {
 			continue
 		}
-		out := append([]ExtEdge(nil), edges...)
-		sortEdges(out)
+		lo := len(extBuf)
+		extBuf = append(extBuf, edges...)
+		out := extBuf[lo:]
+		if !slices.IsSortedFunc(out, compareEdges) {
+			sortEdges(out)
+		}
 		out = dedupeExt(out)
 		for _, ed := range out {
 			if ed.To < 0 || int(ed.To) >= n {
@@ -85,26 +105,41 @@ func FromDense(d Dense) (*Spec, error) {
 				return nil, fmt.Errorf("spec %s: edge event %q not in alphabet", d.Name, ed.Event)
 			}
 		}
-		s.ext[st] = out
+		extBuf = extBuf[:lo+len(out)]
+		s.ext[st] = out[:len(out):len(out)]
 		s.numExt += len(out)
 	}
+	intBuf := make([]State, 0, totalLen(d.Int))
 	for st, tos := range d.Int {
 		if len(tos) == 0 {
 			continue
 		}
-		out := append([]State(nil), tos...)
-		sortStates(out)
+		lo := len(intBuf)
+		intBuf = append(intBuf, tos...)
+		out := intBuf[lo:]
+		if !slices.IsSorted(out) {
+			sortStates(out)
+		}
 		out = dedupeStates(out)
 		for _, t := range out {
 			if t < 0 || int(t) >= n {
 				return nil, fmt.Errorf("spec %s: internal edge target %d out of range", d.Name, t)
 			}
 		}
-		s.intl[st] = out
+		intBuf = intBuf[:lo+len(out)]
+		s.intl[st] = out[:len(out):len(out)]
 		s.numIntl += len(out)
 	}
-	s.finalize()
 	return s, nil
+}
+
+// totalLen is the summed length of an adjacency relation.
+func totalLen[E any](rows [][]E) int {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	return n
 }
 
 // dedupeExt removes adjacent duplicates from a sorted edge list, in place.

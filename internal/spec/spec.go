@@ -22,8 +22,9 @@
 package spec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -182,22 +183,19 @@ func (s *Spec) Format() string {
 	return b.String()
 }
 
-// sortEdges sorts an external adjacency list into the canonical order.
-func sortEdges(edges []ExtEdge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Event != edges[j].Event {
-			return edges[i].Event < edges[j].Event
-		}
-		return edges[i].To < edges[j].To
-	})
+// compareEdges orders external edges canonically: by Event, then by To.
+func compareEdges(a, b ExtEdge) int {
+	if c := cmp.Compare(a.Event, b.Event); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.To, b.To)
 }
+
+// sortEdges sorts an external adjacency list into the canonical order.
+func sortEdges(edges []ExtEdge) { slices.SortFunc(edges, compareEdges) }
 
 // sortStates sorts a state slice ascending.
-func sortStates(sts []State) {
-	sort.Slice(sts, func(i, j int) bool { return sts[i] < sts[j] })
-}
+func sortStates(sts []State) { slices.Sort(sts) }
 
 // sortEvents sorts an event slice ascending.
-func sortEvents(evs []Event) {
-	sort.Slice(evs, func(i, j int) bool { return evs[i] < evs[j] })
-}
+func sortEvents(evs []Event) { slices.Sort(evs) }
