@@ -8,7 +8,7 @@
 //	protosmith -replay FILE.spec [-v]
 //
 // Each campaign generates -count well-formed random systems at consecutive
-// seeds and runs every one through the three engine pipelines at each
+// seeds and runs every one through both engine pipelines at each
 // worker count, the sat checker, the raw-edge oracles, and the baseline
 // candidate probes. Any divergence fails the run (exit 2); with -shrink it
 // is first reduced to a minimal reproducer, and with -emit-fixture the

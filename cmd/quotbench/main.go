@@ -71,10 +71,9 @@ type Run struct {
 	EnvExpansionNs    int64 `json:"env_expansion_ns,omitempty"`
 
 	// Arena/row accounting for the demand-driven engine (zero for eager
-	// engines) and progress-sweep steal counts (zero for workers=1).
+	// engines).
 	ArenaBytes   int64 `json:"arena_bytes,omitempty"`
 	PeakRowBytes int64 `json:"peak_row_bytes,omitempty"`
-	SweepSteals  int   `json:"sweep_steals,omitempty"`
 
 	// Safety-phase storage and memoization accounting (see core.Metrics):
 	// intern-shard + closure-memo + successor-row arena bytes, the resolved
@@ -159,17 +158,6 @@ func runOnce(f specgen.Family, engine string, workers int, timeout time.Duration
 		if err := derive(b); err != nil {
 			return m, err
 		}
-	case "indexed":
-		t0 := time.Now()
-		b, err := compose.IndexedMany(f.Components...)
-		if err != nil {
-			return m, err
-		}
-		m.composeNs = time.Since(t0).Nanoseconds()
-		m.bStates = b.NumStates()
-		if err := derive(b); err != nil {
-			return m, err
-		}
 	case "lazy":
 		t0 := time.Now()
 		b, err := compose.LazyMany(f.Components...)
@@ -182,7 +170,7 @@ func runOnce(f specgen.Family, engine string, workers int, timeout time.Duration
 		}
 		m.bStates = b.NumStates() // states discovered by the derivation
 	default:
-		return m, fmt.Errorf("quotbench: unknown engine %q", engine)
+		return m, fmt.Errorf("unknown engine %q (spec or lazy)", engine)
 	}
 	m.safetyNs = m.stats.Metrics.SafetyWall.Nanoseconds()
 	m.progressNs = m.stats.Metrics.ProgressWall.Nanoseconds()
@@ -196,7 +184,7 @@ func main() {
 		families = flag.String("families", "chain(4),chain(5),chaindrop(4),ring(3)", "comma-separated family instances (see specgen.BenchFamilies)")
 		workers  = flag.String("workers", "1", "comma-separated worker counts")
 		reps     = flag.Int("reps", 3, "repetitions per configuration (minimum is reported)")
-		engines  = flag.String("engine", "spec", "comma-separated engines: spec (string compose + Derive), indexed (fused compose + DeriveEnv), lazy (demand-driven compose fused into the safety phase)")
+		engines  = flag.String("engine", "spec", "comma-separated engines: spec (string compose + Derive), lazy (demand-driven compose fused into the safety phase)")
 		timeout  = flag.Duration("derivetimeout", 0, "per-derivation wall-clock cap (0 = unlimited); a capped run is recorded with timed_out=true")
 		out      = flag.String("out", "", "output JSON file (default stdout)")
 		appendTo = flag.Bool("append", false, "keep existing runs in -out and append")
@@ -276,7 +264,6 @@ func run(label, families, workers, engines string, reps int, timeout time.Durati
 					r.EnvExpansionNs = m.stats.Metrics.EnvExpansionNs
 					r.ArenaBytes = m.stats.Metrics.ArenaBytes
 					r.PeakRowBytes = m.stats.Metrics.PeakRowBytes
-					r.SweepSteals = m.stats.Metrics.SweepSteals
 					r.PairArenaBytes = m.stats.Metrics.PairArenaBytes
 					r.InternShards = m.stats.Metrics.InternShards
 					r.ClosureMemoHits = m.stats.Metrics.ClosureMemoHits

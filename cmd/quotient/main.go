@@ -188,7 +188,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MinimizeComponents: *minimizeEnv,
 	}
 	if *verbose {
-		opts.Log = stderr
+		opts.Trace = core.LogAdapter(stderr)
 	}
 	// The content address of this derivation: the same key quotd would
 	// compute for an equivalent POST /v1/derive (Workers deliberately absent
@@ -363,9 +363,6 @@ func printStats(w io.Writer, s core.Stats) {
 			fmt.Fprintf(w, ", %s row arenas (peak row %s)", fmtBytes(m.ArenaBytes), fmtBytes(m.PeakRowBytes))
 		}
 		fmt.Fprintln(w)
-	}
-	if m.SweepSteals > 0 {
-		fmt.Fprintf(w, "sweep sched:    %d stolen SCC tasks\n", m.SweepSteals)
 	}
 }
 

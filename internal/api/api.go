@@ -54,9 +54,9 @@ type SpecSource struct {
 //
 // Only the semantic options — those that change the derived artifact —
 // participate in the cache key: OmitVacuous, SafetyOnly, MaxStates,
-// MinimizeEnv, Normalize, Prune, Minimize. Workers and Engine are excluded
-// because the engine's outcome is bit-identical for every worker count and
-// for the lazy/indexed/eager pipelines alike (the golden differential
+// MinimizeEnv, Normalize, Prune, Minimize. Workers is excluded because the
+// engine's outcome is bit-identical for every worker count and for the
+// lazy and eager composition pipelines alike (the golden differential
 // suites pin this); TimeoutMS and the artifact selectors (IncludeDOT,
 // IncludeGo, GoPackage) are excluded because they do not change the
 // converter, only how much of it is rendered into the response.
@@ -64,9 +64,6 @@ type DeriveOptions struct {
 	// Workers is the engine worker count for the safety phase; 0 means the
 	// server default. The result is bit-identical for every value.
 	Workers int `json:"workers,omitempty"`
-	// Engine selects the composition pipeline when Components are given:
-	// "lazy" (default, demand-driven) or "indexed" (eager index-space).
-	Engine string `json:"engine,omitempty"`
 	// Normalize determinizes the service first if it is not in normal form;
 	// without it a non-normal service is a bad request.
 	Normalize bool `json:"normalize,omitempty"`
@@ -141,7 +138,6 @@ type WireStats struct {
 	EnvExpansionMS     float64 `json:"env_expansion_ms,omitempty"`
 	ArenaBytes         int64   `json:"arena_bytes,omitempty"`
 	PeakRowBytes       int64   `json:"peak_row_bytes,omitempty"`
-	SweepSteals        int     `json:"sweep_steals,omitempty"`
 	PairArenaBytes     int64   `json:"pair_arena_bytes,omitempty"`
 	InternShards       int     `json:"intern_shards,omitempty"`
 	ClosureMemoHits    int     `json:"closure_memo_hits,omitempty"`
@@ -175,7 +171,6 @@ func StatsFromCore(s core.Stats) *WireStats {
 		EnvExpansionMS:     float64(m.EnvExpansionNs) / 1e6,
 		ArenaBytes:         m.ArenaBytes,
 		PeakRowBytes:       m.PeakRowBytes,
-		SweepSteals:        m.SweepSteals,
 		PairArenaBytes:     m.PairArenaBytes,
 		InternShards:       m.InternShards,
 		ClosureMemoHits:    m.ClosureMemoHits,
@@ -424,7 +419,7 @@ type StatsResponse struct {
 }
 
 // keyedOptions returns the canonical encoding of the semantic options — the
-// option slice of the cache key. Workers, Engine, TimeoutMS, and the
+// option slice of the cache key. Workers, TimeoutMS, and the
 // artifact selectors are deliberately absent; see DeriveOptions.
 func (o DeriveOptions) keyedOptions() string {
 	return fmt.Sprintf("omitvac=%t safety=%t maxstates=%d minenv=%t prune=%t minimize=%t",

@@ -1,15 +1,15 @@
 // Demand-driven n-way composition: the product is expanded one state at a
 // time, when a consumer first asks for that state's successors.
 //
-// IndexedMany materializes the whole reachable product up front with a BFS;
-// on large systems most of that work is wasted, because the quotient
-// algorithm's safety phase only ever walks the composite states reachable
-// under the converter being built (the paper's h.r sets) — the standard
-// on-the-fly construction argument from the reachability-analysis
-// literature. Lazy keeps IndexedMany's compiled component tables and
-// mixed-radix tuple interning but does no up-front sweep: a state's edge
-// rows are computed inside Rows on first demand, under a mutex, and then
-// published through an atomic flag so every later read is lock-free.
+// Materializing the whole reachable product up front is mostly wasted work
+// on large systems: the quotient algorithm's safety phase only ever walks
+// the composite states reachable under the converter being built (the
+// paper's h.r sets). Lazy compiles the component tables and interns
+// mixed-radix tuples but does no up-front sweep: a state's edge rows are
+// computed inside Rows on first demand, under a mutex, and then published
+// through an atomic flag so every later read is lock-free. Unlike the left
+// fold Many it never builds intermediate pairwise products, which explode
+// on open topologies (rings) while the final reachable set stays small.
 //
 // State ids are assigned in demand order, so they depend on which consumer
 // asked first — under a parallel deriver that is scheduling-dependent. The
@@ -59,7 +59,7 @@ type lazyPage [lazyPageSize]lazyRow
 
 // Lazy is a demand-driven composite: the reachable product of n components,
 // expanded state by state as consumers ask for successors. It implements
-// core.Environment (like *Indexed), plus the demand-side surface the fused
+// core.Environment (like *spec.Spec), plus the demand-side surface the fused
 // deriver uses: Rows, PeekRows, ExpansionStats.
 //
 // All methods are safe for concurrent use. Reads of already-expanded rows
@@ -95,9 +95,9 @@ type Lazy struct {
 	names   []string
 }
 
-// LazyMany builds the demand-driven composition of the components. It
-// accepts exactly the component lists IndexedMany accepts (pairwise-disjoint
-// interfaces) and represents the same machine; only the init state is
+// LazyMany builds the demand-driven composition of the components. Like
+// Many it requires pairwise-disjoint interfaces (no event in three or more
+// components) and represents the same machine; only the init state is
 // interned up front.
 func LazyMany(components ...*spec.Spec) (*Lazy, error) {
 	if len(components) == 0 {
@@ -133,6 +133,15 @@ func LazyMany(components ...*spec.Spec) (*Lazy, error) {
 	x.internLocked(initTuple) // id 0 = composite init
 	x.mu.Unlock()
 	return x, nil
+}
+
+// foldName reproduces Many's nested composite name, e.g. "((A||B)||C)".
+func foldName(components []*spec.Spec) string {
+	name := components[0].Name()
+	for _, c := range components[1:] {
+		name = fmt.Sprintf("(%s||%s)", name, c.Name())
+	}
+	return name
 }
 
 // MustLazyMany is LazyMany that panics on error.
@@ -334,8 +343,8 @@ func (x *Lazy) MemStats() (arenaBytes, peakRowBytes int64) {
 func (x *Lazy) Name() string { return x.name }
 
 // NumStates returns the number of composite states discovered so far. It
-// grows as the product is explored; unlike *Indexed it is not the full
-// reachable count unless exploration has saturated.
+// grows as the product is explored; it is not the full reachable count
+// unless exploration has saturated.
 func (x *Lazy) NumStates() int { return int(x.discovered.Load()) }
 
 // Init returns the composite initial state (always 0: the first intern).
@@ -399,9 +408,9 @@ func (x *Lazy) StateName(st spec.State) string {
 }
 
 // Spec saturates the product (expanding every reachable state) and
-// materializes it as an eager *spec.Spec. Like (*Indexed).Spec it is the
-// bridge to consumers needing the full Spec surface; note the state
-// numbering reflects this Lazy's demand order, not Indexed's BFS order.
+// materializes it as an eager *spec.Spec — the bridge to consumers needing
+// the full Spec surface (Format, .dot rendering, sat checks). The state
+// numbering reflects this Lazy's demand order.
 func (x *Lazy) Spec() (*spec.Spec, error) {
 	for st := 0; st < x.NumStates(); st++ { // NumStates grows as we expand
 		x.Rows(spec.State(st))

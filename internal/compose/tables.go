@@ -1,10 +1,9 @@
-// Compiled component tables shared by the two fused composition engines.
+// Compiled component tables for the demand-driven composition.
 //
-// IndexedMany (eager BFS) and LazyMany (demand-driven) walk the same n-way
-// product; everything that can be precomputed without touching a single
-// composite state — global event interning, the rendezvous partner table,
-// per-component dense edge rows — lives here so the two engines cannot
-// drift apart on the product's semantics.
+// Everything LazyMany can precompute without touching a single composite
+// state — global event interning, the rendezvous partner table,
+// per-component dense edge rows — lives here, apart from the expansion
+// that walks the n-way product.
 package compose
 
 import (

@@ -124,14 +124,14 @@ func TestNoQuotientErrorDiagnostic(t *testing.T) {
 }
 
 func TestTraceAndLogAdapter(t *testing.T) {
-	// Options.Log must keep producing exactly the legacy lines, and
-	// Options.Trace must see both the structured level events and the
-	// summaries, with both options set at once.
+	// LogAdapter must keep producing exactly the legacy narration lines,
+	// and a Trace that also forwards to it must see both the structured
+	// level events and the summaries.
 	var buf bytes.Buffer
 	var events []TraceEvent
+	logTrace := LogAdapter(&buf)
 	res, err := Derive(altService(t), relayB(t), Options{
-		Log:   &buf,
-		Trace: func(ev TraceEvent) { events = append(events, ev) },
+		Trace: func(ev TraceEvent) { events = append(events, ev); logTrace(ev) },
 	})
 	if err != nil {
 		t.Fatalf("Derive: %v", err)

@@ -53,7 +53,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"time"
@@ -64,11 +63,11 @@ import (
 )
 
 // Environment is the read-side surface the deriver needs from B. Both
-// *spec.Spec and *compose.Indexed satisfy it, so a composed environment can
-// be fed to the engine straight from the fused index-space composition,
-// without materializing composite state names: prepare copies the
-// transition structure into dense tables once, and StateName is consulted
-// only on diagnostic paths (pair-set naming, error messages).
+// *spec.Spec and *compose.Lazy satisfy it, so a composed environment can
+// be fed to the engine straight from the index-space composition, without
+// materializing composite state names: prepare copies an eager
+// environment's transition structure into dense tables once, and StateName
+// is consulted only on diagnostic paths (pair-set naming, error messages).
 //
 // ExtEdges must be sorted by (Event, To) and IntEdges ascending — the
 // orders *spec.Spec guarantees — because frontier expansion and the
@@ -125,8 +124,8 @@ type Options struct {
 	// derived converter accepts the same language — but its state
 	// numbering and pair-set diagnostics reflect the reduced environment,
 	// so the output is equivalent, not bit-identical, to the unreduced
-	// derivation. Environments that are neither *spec.Spec, *compose.Lazy,
-	// nor *compose.Indexed are left untouched.
+	// derivation. Environments that are neither *spec.Spec nor
+	// *compose.Lazy are left untouched.
 	MinimizeComponents bool
 	// Workers is the number of goroutines expanding each safety-phase
 	// frontier; 0 and 1 both mean single-threaded. The expansion is
@@ -147,14 +146,6 @@ type Options struct {
 	// summaries during the progress phase. Events carrying a non-empty
 	// Detail are the per-phase summaries; see TraceEvent.
 	Trace func(TraceEvent)
-	// Log, when non-nil, receives a line-oriented narration of the
-	// derivation: safety-phase growth and per-iteration progress-phase
-	// removals.
-	//
-	// Deprecated: use Trace. Log is kept working through LogAdapter, which
-	// formats summary TraceEvents into the original line format; setting
-	// both delivers every event to Trace and the summary lines to Log.
-	Log io.Writer
 }
 
 // Result is the outcome of a derivation.
@@ -354,7 +345,7 @@ func DeriveRobustContext(ctx context.Context, a *spec.Spec, bs []*spec.Spec, opt
 }
 
 // DeriveEnv is Derive over any Environment — most usefully a
-// *compose.Indexed, feeding the fused composition straight into the engine
+// *compose.Lazy, whose composite states the safety phase expands on demand
 // with no *spec.Spec materialization in between.
 func DeriveEnv(a *spec.Spec, b Environment, opts Options) (*Result, error) {
 	return DeriveEnvsContext(context.Background(), a, []Environment{b}, opts)
@@ -422,14 +413,6 @@ func DeriveEnvsContext(ctx context.Context, a *spec.Spec, bs []Environment, opts
 		d.workers = 1
 	}
 	d.trace = opts.Trace
-	if opts.Log != nil {
-		logTrace := LogAdapter(opts.Log)
-		if user := d.trace; user != nil {
-			d.trace = func(ev TraceEvent) { user(ev); logTrace(ev) }
-		} else {
-			d.trace = logTrace
-		}
-	}
 	d.prepare()
 	return d.run()
 }
@@ -443,12 +426,6 @@ func minimizeEnv(b Environment) Environment {
 	switch e := b.(type) {
 	case *spec.Spec:
 		return e.Minimize()
-	case *compose.Indexed:
-		// The components built this composite once already, so re-composing
-		// the minimized list cannot fail.
-		if x, err := compose.IndexedMany(compose.MinimizeComponents(e.Components()...)...); err == nil {
-			return x
-		}
 	case *compose.Lazy:
 		if x, err := compose.LazyMany(compose.MinimizeComponents(e.Components()...)...); err == nil {
 			return x

@@ -14,7 +14,7 @@
 // chunk, and a million sets cost a few hundred chunk allocations.
 //
 // The intern table is hash-sharded. During a merge batch each shard is
-// probed and grown by at most one goroutine (sched.runSharded), so shards
+// probed and grown by at most one goroutine (runSharded), so shards
 // need no locking; canonical IDs are NOT assigned by the shards — a
 // deterministic renumbering pass walks the batch's φ results in frontier
 // order and numbers first occurrences, so the converter's state numbering is
@@ -31,6 +31,8 @@ package core
 
 import (
 	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"protoquot/internal/sat"
 )
@@ -92,31 +94,6 @@ func (ps pairset) forEachUntil(f func(p int32) bool) {
 	for i := 0; i < len(ps); i += 2 {
 		base := int32(ps[i]) << 6
 		w := ps[i+1]
-		for w != 0 {
-			if f(base + int32(bits.TrailingZeros64(w))) {
-				return
-			}
-			w &= w - 1
-		}
-	}
-}
-
-// runs returns the number of (wordIndex, bits) runs in the set — the unit
-// the sharded verdict scan partitions work by.
-func (ps pairset) runs() int { return len(ps) / 2 }
-
-// runStart returns the first (lowest) pair index of run r; runs hold
-// nonzero words, so every run has one.
-func (ps pairset) runStart(r int) int32 {
-	return int32(ps[2*r])<<6 + int32(bits.TrailingZeros64(ps[2*r+1]))
-}
-
-// forEachRunRange visits the pair indices of runs [lo, hi) in ascending
-// order, stopping early when f returns true.
-func (ps pairset) forEachRunRange(lo, hi int, f func(p int32) bool) {
-	for r := lo; r < hi; r++ {
-		base := int32(ps[2*r]) << 6
-		w := ps[2*r+1]
 		for w != 0 {
 			if f(base + int32(bits.TrailingZeros64(w))) {
 				return
@@ -349,6 +326,40 @@ func (t *internTable) bytes() int64 {
 		n += t.shards[i].arena.reserved
 	}
 	return n
+}
+
+// runSharded executes f(shard) once for every shard 0..nshards-1, using up
+// to workers goroutines. The safety phase's parallel merge uses it to give
+// each intern-table shard to exactly one goroutine: a shard's maps and
+// arena are then single-owner for the duration, so the merge needs no
+// locks. With workers <= 1 (or a single shard) it degenerates to a plain
+// loop on the caller's goroutine.
+func runSharded(nshards, workers int, f func(shard int)) {
+	if workers > nshards {
+		workers = nshards
+	}
+	if workers <= 1 {
+		for s := 0; s < nshards; s++ {
+			f(s)
+		}
+		return
+	}
+	var cursor int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				s := int(atomic.AddInt64(&cursor, 1)) - 1
+				if s >= nshards {
+					return
+				}
+				f(s)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // memoFail is the seedMemo result recording that the closure of a seed set

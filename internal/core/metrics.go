@@ -81,11 +81,6 @@ type Metrics struct {
 	// seed set was already mapped to its closure's canonical state (or to a
 	// known ok.J failure) by an earlier expansion.
 	ClosureMemoHits int
-	// SweepSteals counts task migrations in the progress phase's
-	// work-stealing SCC scheduler: SCC tasks executed by a worker other
-	// than the one whose deque they were enqueued on. Always 0 when
-	// Workers <= 1 (the scheduler only runs multi-worker sweeps).
-	SweepSteals int
 }
 
 // InternHitRate returns the fraction of intern lookups that found an
@@ -108,8 +103,8 @@ func (m *Metrics) InternHitRate() float64 {
 //   - progress sweep summary: Iteration, Removed (0 on the fixpoint
 //     sweep); Detail set.
 //
-// Events with a non-empty Detail are exactly the lines the deprecated
-// Options.Log writer used to receive; LogAdapter relies on that.
+// Events with a non-empty Detail are exactly the narration lines
+// LogAdapter prints.
 type TraceEvent struct {
 	// Phase is "safety" or "progress".
 	Phase string
@@ -134,11 +129,10 @@ type TraceEvent struct {
 	Removed   int
 }
 
-// LogAdapter converts a structured trace stream back into the line format
-// the deprecated Options.Log writer produced: it prints the Detail of
-// summary events and ignores everything else. Options.Log is implemented
-// as exactly this adapter; callers migrating to Options.Trace can wrap
-// their old writer with it to keep identical output.
+// LogAdapter converts a structured trace stream into line-oriented
+// narration: it prints the Detail of summary events and ignores everything
+// else. This is the line format of the removed Log writer option, so
+// Trace: LogAdapter(w) reproduces its output exactly.
 func LogAdapter(w io.Writer) func(TraceEvent) {
 	return func(ev TraceEvent) {
 		if ev.Detail == "" {

@@ -1,4 +1,4 @@
-// Incremental, memoized, parallel progress phase (paper Fig. 6).
+// Incremental, memoized progress phase (paper Fig. 6).
 //
 // A sweep removes every converter state containing a pair whose composite
 // ready sets cannot satisfy A's acceptance sets; removal changes
@@ -36,19 +36,18 @@
 //     sweep is bit-identical to the narrow one. Sweeps touching more
 //     columns keep the narrow per-(column, slot) Tarjan with successor
 //     arenas and rank-bitmap slot lookup (PR 5).
-//   - Work-stealing sweep scheduling (this PR): both paths used to process
-//     the condensation level by level with a barrier per level; skewed
-//     levels serialized the sweep. The DP now runs on per-SCC atomic
-//     dependency counters with per-worker stealing deques (sched.go);
-//     single-worker sweeps simply walk Tarjan's emission order, which is
-//     already reverse-topological. The verdict scan fans over workers too,
-//     sharding large pair sets by runs so a handful of huge columns cannot
-//     serialize it, and switches to the batched sat.ProgBlock kernel on
-//     dense columns.
-//   - Determinism everywhere: every SCC writes only its members' slots and
-//     each mask is the unique least fixpoint of a monotone union system, so
-//     removal order — and therefore every downstream artifact — is
-//     bit-identical for every worker count and for both sweep paths.
+//   - Sequential sweeps: both paths walk Tarjan's emission order, which
+//     is already reverse-topological, and the verdict scan walks the
+//     affected states in order, switching to the batched sat.ProgBlock
+//     kernel on dense columns. A work-stealing SCC scheduler and a
+//     run-sharded parallel scan used to fan this phase over workers; on a
+//     2-core box they never beat one worker (chain(9) progress 1.63 s at
+//     w1 against 3.66 s at w2, with allocations up from 4.6k to 2.1M), so
+//     they were removed (DESIGN §12). Options.Workers parallelizes only the
+//     safety phase.
+//   - Determinism everywhere: each mask is the unique least fixpoint of a
+//     monotone union system, so removal order — and therefore every
+//     downstream artifact — is bit-identical for both sweep paths.
 //
 // The prog verdict itself is sat.AcceptanceIndex.Prog: A's acceptance sets
 // precompiled to minimal bitmasks, one subset test per candidate.
@@ -58,8 +57,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"protoquot/internal/sat"
 	"protoquot/internal/spec"
@@ -80,11 +77,6 @@ var wideColumnLimit = 64
 // (32M words = 256 MiB); sweeps that would exceed it fall back to the
 // narrow path, which allocates per live slot instead of per (pb, column).
 var wideMemWords = 32 << 20
-
-// minSchedSCCs is the condensation size below which a sweep computes masks
-// inline even with workers available — scheduling overhead would exceed
-// the work.
-const minSchedSCCs = 64
 
 // progTables is the progress phase's per-derivation state, kept on the
 // deriver so repeated sweeps share the combo tables and memoized masks.
@@ -129,14 +121,6 @@ type progTables struct {
 	tframes    []tframe
 	sccMembers []int32
 	sccOff     []int32
-
-	// Condensation dependency scratch for the work-stealing scheduler
-	// (sched.go), rebuilt per multi-worker sweep.
-	sccDeps    []int32
-	sccStamp   []int32
-	sccFill    []int32
-	sccDepOff  []int32
-	sccDepList []int32
 
 	// Wide-sweep (pb-major) state; see refreshReadyWide. wMember and wNode
 	// span the packed-b domain and are restored to all-zero / all -1 after
@@ -314,6 +298,7 @@ func (d *deriver) progressPhase(res *Result, alive []bool) error {
 		affected[i] = int32(i)
 	}
 	removedTotal := 0
+	initialBlame := int32(-1) // state 0's first failing pair, once it fails
 	for {
 		res.Stats.ProgressIterations++
 		if err := d.ctx.Err(); err != nil {
@@ -321,7 +306,7 @@ func (d *deriver) progressPhase(res *Result, alive []bool) error {
 				res.Stats.ProgressIterations, err)
 		}
 		d.refreshReady(alive, affected)
-		removed := d.verdictScan(alive, affected)
+		removed, blame := d.verdictScan(alive, affected)
 		if len(removed) == 0 {
 			d.emit(TraceEvent{
 				Phase:     "progress",
@@ -338,7 +323,10 @@ func (d *deriver) progressPhase(res *Result, alive []bool) error {
 			Detail: fmt.Sprintf("progress phase: iteration %d marked %d state(s) bad",
 				res.Stats.ProgressIterations, len(removed)),
 		})
-		for _, ci := range removed {
+		for i, ci := range removed {
+			if ci == 0 {
+				initialBlame = blame[i]
+			}
 			alive[ci] = false
 			removedTotal++
 			d.emit(TraceEvent{
@@ -369,17 +357,14 @@ func (d *deriver) progressPhase(res *Result, alive []bool) error {
 	}
 	res.Stats.RemovedStates = removedTotal
 	if !alive[0] {
-		// State 0's masks are still current (the sweep that blamed it just
-		// refreshed them and nothing has been invalidated since), so the
-		// first failing pair can be re-identified deterministically — the
-		// sharded scan itself records only a per-state flag — and a witness
-		// trace driven to it.
+		// The witness trace is driven to the first pair of state 0 the scan
+		// found failing.
 		return &NoQuotientError{
 			Reason: fmt.Sprintf(
 				"progress phase removed the initial state after %d iterations (%d states removed): every candidate behavior risks a progress violation of the service",
 				res.Stats.ProgressIterations, removedTotal),
 			FailedPhase:  "progress",
-			WitnessTrace: d.progressWitness(d.firstBadPair(0)),
+			WitnessTrace: d.progressWitness(initialBlame),
 		}
 	}
 	return nil
@@ -475,9 +460,7 @@ func (d *deriver) refreshReady(alive []bool, affected []int32) {
 // refreshReadyNarrow is the per-(column, slot) sweep: an iterative Tarjan
 // SCC pass over the invalid combo graph — edges into valid columns are
 // consumed as memoized leaves — followed by a reverse-topological DP over
-// the condensation, work-stolen across workers when the sweep is big
-// enough (sequential sweeps just follow Tarjan's emission order, which is
-// successors-first).
+// the condensation in Tarjan's emission order, which is successors-first.
 func (d *deriver) refreshReadyNarrow(alive []bool, cols []int32) {
 	pt := d.prog
 	want := 0 // exact Tarjan node count: one per invalidated slot
@@ -604,11 +587,12 @@ func (d *deriver) refreshReadyNarrow(alive []bool, cols []int32) {
 	d.met.ReadySetRebuilds += len(nodes)
 
 	w := pt.words
-	var hits int64
-	nsccs := len(sccOff) - 1
-	computeSCC := func(si int32, mask []uint64) {
+	hits := 0
+	// Tarjan emits an SCC only after every SCC reachable from it, so
+	// ascending emission order is a valid reverse-topological schedule.
+	mask := make([]uint64, w)
+	for si := int32(0); si < int32(len(sccOff)-1); si++ {
 		members := sccMembers[sccOff[si]:sccOff[si+1]]
-		localHits := int64(0)
 		if w == 1 {
 			// Scalar fast path for the common single-word ready universe.
 			var acc uint64
@@ -620,7 +604,7 @@ func (d *deriver) refreshReadyNarrow(alive []bool, cols []int32) {
 						continue // intra-SCC edge: same mask by definition
 					}
 					if r.memo {
-						localHits++
+						hits++
 					}
 					acc |= pt.ready[r.ci][r.slot]
 				}
@@ -629,8 +613,7 @@ func (d *deriver) refreshReadyNarrow(alive []bool, cols []int32) {
 				nd := nodes[m]
 				pt.ready[nd.ci][nd.slot] = acc
 			}
-			atomic.AddInt64(&hits, localHits)
-			return
+			continue
 		}
 		for i := range mask {
 			mask[i] = 0
@@ -644,7 +627,7 @@ func (d *deriver) refreshReadyNarrow(alive []bool, cols []int32) {
 					continue // intra-SCC edge: same mask by definition
 				}
 				if r.memo {
-					localHits++
+					hits++
 				}
 				sat.OrInto(mask, pt.ready[r.ci][int(r.slot)*w:int(r.slot)*w+w])
 			}
@@ -653,36 +636,8 @@ func (d *deriver) refreshReadyNarrow(alive []bool, cols []int32) {
 			nd := nodes[m]
 			copy(pt.ready[nd.ci][int(nd.slot)*w:int(nd.slot)*w+w], mask)
 		}
-		atomic.AddInt64(&hits, localHits)
 	}
-	if workers := d.workers; workers > 1 && nsccs >= minSchedSCCs {
-		forEach := func(si int32, emit func(ts int32)) {
-			for _, m := range sccMembers[sccOff[si]:sccOff[si+1]] {
-				nd := nodes[m]
-				for _, r := range arena[nd.succStart:nd.succEnd] {
-					if !r.memo {
-						emit(sccOf[pt.slotNode[r.ci][r.slot]])
-					}
-				}
-			}
-		}
-		deps, depOff, depList := pt.buildSCCDeps(nsccs, forEach)
-		masks := make([][]uint64, workers)
-		for i := range masks {
-			masks[i] = make([]uint64, w)
-		}
-		steals := runSCCSched(nsccs, workers, deps, depOff, depList,
-			func(si int32, wk int) { computeSCC(si, masks[wk]) })
-		d.met.SweepSteals += int(steals)
-	} else {
-		// Tarjan emits an SCC only after every SCC reachable from it, so
-		// ascending emission order is a valid reverse-topological schedule.
-		mask := make([]uint64, w)
-		for si := 0; si < nsccs; si++ {
-			computeSCC(int32(si), mask)
-		}
-	}
-	d.met.TauCacheHits += int(hits)
+	d.met.TauCacheHits += hits
 
 	// Park the scratch (at its grown capacity) for the next sweep.
 	pt.tnodes, pt.tarena = nodes, arena
@@ -860,12 +815,12 @@ func (d *deriver) refreshReadyWide(alive []bool, cols []int32) bool {
 	}
 	wr := pt.wReady
 
-	var hits int64
-	computeWide := func(si int32, acc []uint64) {
+	hits := 0
+	acc := make([]uint64, w)
+	computeWide := func(si int32) {
 		members := sccMembers[sccOff[si]:sccOff[si+1]]
 		pass := func(count bool) bool {
 			changed := false
-			localHits := int64(0)
 			for _, nid := range members {
 				pb := active[nid]
 				v := d.variantOf(pb)
@@ -896,7 +851,7 @@ func (d *deriver) refreshReadyWide(alive []bool, cols []int32) bool {
 							} else if s := pt.slotOf(t, q); s >= 0 {
 								acc0 |= pt.ready[t][s]
 								if count {
-									localHits++
+									hits++
 								}
 							}
 						}
@@ -934,7 +889,7 @@ func (d *deriver) refreshReadyWide(alive []bool, cols []int32) bool {
 						} else if s := pt.slotOf(t, q); s >= 0 {
 							sat.OrInto(acc, pt.ready[t][int(s)*w:int(s)*w+w])
 							if count {
-								localHits++
+								hits++
 							}
 						}
 					}
@@ -953,9 +908,6 @@ func (d *deriver) refreshReadyWide(alive []bool, cols []int32) bool {
 					}
 				}
 			}
-			if count {
-				atomic.AddInt64(&hits, localHits)
-			}
 			return changed
 		}
 		// A singleton SCC without self-edges is already final after one
@@ -971,40 +923,11 @@ func (d *deriver) refreshReadyWide(alive []bool, cols []int32) bool {
 			}
 		}
 	}
-	nsccs := len(sccOff) - 1
-	if workers := d.workers; workers > 1 && nsccs >= minSchedSCCs {
-		forEach := func(si int32, emit func(ts int32)) {
-			for _, nid := range sccMembers[sccOff[si]:sccOff[si+1]] {
-				pb := active[nid]
-				v := d.variantOf(pb)
-				for _, t := range pt.ints[pb] {
-					emit(sccOf[pt.wNode[d.boff[v]+t]])
-				}
-				for _, ed := range pt.ext[pb] {
-					if d.intlIndex[ed.Ev] < 0 {
-						continue
-					}
-					if q := d.boff[v] + ed.To; pt.wMember[q] != 0 {
-						emit(sccOf[pt.wNode[q]])
-					}
-				}
-			}
-		}
-		deps, depOff, depList := pt.buildSCCDeps(nsccs, forEach)
-		accs := make([][]uint64, workers)
-		for i := range accs {
-			accs[i] = make([]uint64, w)
-		}
-		steals := runSCCSched(nsccs, workers, deps, depOff, depList,
-			func(si int32, wk int) { computeWide(si, accs[wk]) })
-		d.met.SweepSteals += int(steals)
-	} else {
-		acc := make([]uint64, w)
-		for si := 0; si < nsccs; si++ {
-			computeWide(int32(si), acc)
-		}
+	// Ascending emission order is reverse-topological, as in the narrow path.
+	for si := int32(0); si < int32(len(sccOff)-1); si++ {
+		computeWide(si)
 	}
-	d.met.TauCacheHits += int(hits)
+	d.met.TauCacheHits += hits
 
 	// Scatter the node-major masks back into the column-major memo the
 	// verdict scan and future sweeps' memo leaves read.
@@ -1032,61 +955,6 @@ func (d *deriver) refreshReadyWide(alive []bool, cols []int32) bool {
 	return true
 }
 
-// buildSCCDeps builds the dependency counters and dependents CSR the
-// scheduler (sched.go) consumes. forEach must enumerate the successor SCCs
-// of an SCC, repeats allowed and identically on every call; dedup happens
-// here via stamps. deps[si] counts si's distinct cross successors;
-// depList[depOff[ts]:depOff[ts+1]] lists the SCCs waiting on ts.
-func (pt *progTables) buildSCCDeps(nsccs int, forEach func(si int32, emit func(ts int32))) (deps, depOff, depList []int32) {
-	deps = resizeSlice(pt.sccDeps, nsccs)
-	stamp := resizeSlice(pt.sccStamp, nsccs)
-	depOff = resizeSlice(pt.sccDepOff, nsccs+1)
-	for i := 0; i < nsccs; i++ {
-		deps[i] = 0
-		stamp[i] = -1
-		depOff[i+1] = 0
-	}
-	depOff[0] = 0
-	total := 0
-	for si := 0; si < nsccs; si++ {
-		s32 := int32(si)
-		stamp[si] = s32 // intra-SCC edges are not dependencies
-		forEach(s32, func(ts int32) {
-			if stamp[ts] == s32 {
-				return
-			}
-			stamp[ts] = s32
-			deps[si]++
-			depOff[ts+1]++
-			total++
-		})
-	}
-	for i := 1; i <= nsccs; i++ {
-		depOff[i] += depOff[i-1]
-	}
-	depList = resizeSlice(pt.sccDepList, total)
-	fill := resizeSlice(pt.sccFill, nsccs)
-	copy(fill, depOff[:nsccs])
-	for i := 0; i < nsccs; i++ {
-		stamp[i] = -1 // pass 1 left its own stamps; they'd alias pass 2's
-	}
-	for si := 0; si < nsccs; si++ {
-		s32 := int32(si)
-		stamp[si] = s32
-		forEach(s32, func(ts int32) {
-			if stamp[ts] == s32 {
-				return
-			}
-			stamp[ts] = s32
-			depList[fill[ts]] = s32
-			fill[ts]++
-		})
-	}
-	pt.sccDeps, pt.sccStamp, pt.sccFill = deps, stamp, fill
-	pt.sccDepOff, pt.sccDepList = depOff, depList
-	return deps, depOff, depList
-}
-
 // growCap returns s emptied for reuse, reallocating only when its capacity
 // cannot hold n elements.
 func growCap[T any](s []T, n int) []T {
@@ -1105,202 +973,63 @@ func resizeSlice[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Verdict-scan shape thresholds: pair sets with at least shardRuns sparse
-// runs are split into run-range shards so a few huge columns cannot
-// serialize a multi-worker scan; columns at least 3/4-dense in (a, pb)
-// pairs use the batched ProgBlock kernel instead of per-pair Prog calls.
-const shardRuns = 512
-
-// scanTask is one unit of verdict-scan work: a state (by index into the
-// affected list) and a run range of its pair set.
-type scanTask struct {
-	idx    int32
-	lo, hi int32
-}
-
-// verdictScan evaluates prog for every pair of every affected live state.
-// The pb-major encoding delivers a state's pairs in nondecreasing packed-b
-// order — the same order as its combo table — so a merge-walk cursor finds
-// each pair's ready-mask slot without per-pair lookup (shards re-anchor
-// their cursor once via slotOf). The removal list is assembled from
-// per-state flags in affected order, so it is identical for every worker
-// count and sharding.
-func (d *deriver) verdictScan(alive []bool, affected []int32) []int32 {
+// verdictScan evaluates prog for every pair of every affected live state,
+// in affected order, and returns the states that fail together with each
+// one's first failing pair in ascending pair order — the blame a
+// no-quotient witness is driven to. The pb-major encoding delivers a
+// state's pairs in nondecreasing packed-b order — the same order as its
+// combo table — so a merge-walk cursor finds each pair's ready-mask slot
+// without per-pair lookup.
+func (d *deriver) verdictScan(alive []bool, affected []int32) (removed, blame []int32) {
 	pt := d.prog
 	w := pt.words
 	numA := int32(d.numA)
-	bad := make([]int32, len(affected))
-
-	// scanRange walks runs [lo, hi) of state i's pair set; a set flag from
-	// any shard short-circuits the others.
-	scanRange := func(i int, lo, hi int) {
-		ci := affected[i]
+	var verdicts []uint64 // ProgBlock output, reused across block columns
+	for _, ci := range affected {
+		if !alive[ci] {
+			continue
+		}
+		d.met.ProgressScans++
 		set := d.table.get(ci)
 		combos := pt.combos[ci]
-		cursor := 0
-		if lo > 0 {
-			if c := pt.slotOf(ci, set.runStart(lo)/numA); c >= 0 {
-				cursor = int(c)
-			}
-		}
-		set.forEachRunRange(lo, hi, func(p int32) bool {
-			if atomic.LoadInt32(&bad[i]) != 0 {
-				return true
-			}
-			a := p % numA
-			pb := p / numA
-			for cursor < len(combos) && combos[cursor] < pb {
-				cursor++
-			}
-			if cursor == len(combos) || combos[cursor] != pb {
-				atomic.StoreInt32(&bad[i], 1) // cannot happen: combos are the projection
-				return true
-			}
-			if !pt.accIx.Prog(spec.State(a), pt.ready[ci][cursor*w:cursor*w+w]) {
-				atomic.StoreInt32(&bad[i], 1)
-				return true
-			}
-			return false
-		})
-	}
-	// scanBlock is the dense-column path: evaluate every A-state against
-	// the whole mask column with one ProgBlock stream each, then walk the
-	// pairs testing verdict bits.
-	scanBlock := func(i int) {
-		ci := affected[i]
-		combos := pt.combos[ci]
 		nslots := len(combos)
-		vw := (nslots + 63) / 64
-		out := make([]uint64, d.numA*vw)
-		for a := 0; a < d.numA; a++ {
-			pt.accIx.ProgBlock(spec.State(a), pt.ready[ci], nslots, out[a*vw:(a+1)*vw])
+		// The block path evaluates every A-state against the whole mask
+		// column with one ProgBlock stream each, paying numA×slots candidate
+		// tests up front to make each pair check O(1); it wins only on
+		// columns dense enough in (a, pb) pairs that the pair walk dominates.
+		vw := 0
+		if nslots >= rankThreshold && d.numA > 1 && 4*set.count() >= 3*d.numA*nslots {
+			vw = (nslots + 63) / 64
+			verdicts = resizeSlice(verdicts, d.numA*vw)
+			for a := 0; a < d.numA; a++ {
+				pt.accIx.ProgBlock(spec.State(a), pt.ready[ci], nslots, verdicts[a*vw:(a+1)*vw])
+			}
 		}
 		cursor := 0
-		d.table.get(ci).forEachUntil(func(p int32) bool {
-			a := p % numA
-			pb := p / numA
+		bad := int32(-1)
+		set.forEachUntil(func(p int32) bool {
+			a, pb := p%numA, p/numA
 			for cursor < len(combos) && combos[cursor] < pb {
 				cursor++
 			}
-			if cursor == len(combos) || combos[cursor] != pb ||
-				out[int(a)*vw+cursor>>6]&(1<<(uint(cursor)&63)) == 0 {
-				atomic.StoreInt32(&bad[i], 1)
-				return true
+			var ok bool
+			switch {
+			case cursor == len(combos) || combos[cursor] != pb:
+				ok = false // cannot happen: combos are the projection
+			case vw > 0:
+				ok = verdicts[int(a)*vw+cursor>>6]&(1<<(uint(cursor)&63)) != 0
+			default:
+				ok = pt.accIx.Prog(spec.State(a), pt.ready[ci][cursor*w:cursor*w+w])
 			}
-			return false
+			if !ok {
+				bad = p
+			}
+			return !ok
 		})
-	}
-	// blockEligible: the block path pays numA×slots candidate tests up
-	// front to make each pair check O(1), so it wins only on columns dense
-	// enough in (a, pb) pairs that the pair walk dominates.
-	blockEligible := func(ci int32) bool {
-		nslots := len(pt.combos[ci])
-		return nslots >= rankThreshold && d.numA > 1 &&
-			4*d.table.get(ci).count() >= 3*d.numA*nslots
-	}
-	scanState := func(i int) {
-		if ci := affected[i]; blockEligible(ci) {
-			scanBlock(i)
-		} else {
-			scanRange(i, 0, d.table.get(ci).runs())
-		}
-	}
-
-	workers := d.workers
-	scanned := 0
-	if workers > 1 {
-		var tasks []scanTask
-		for i, ci := range affected {
-			if !alive[ci] {
-				continue
-			}
-			scanned++
-			if nr := d.table.get(ci).runs(); nr >= shardRuns && !blockEligible(ci) {
-				for lo := 0; lo < nr; lo += shardRuns {
-					hi := min(lo+shardRuns, nr)
-					tasks = append(tasks, scanTask{idx: int32(i), lo: int32(lo), hi: int32(hi)})
-				}
-			} else {
-				tasks = append(tasks, scanTask{idx: int32(i), lo: -1})
-			}
-		}
-		if len(tasks) < 2*workers {
-			for _, t := range tasks {
-				if t.lo < 0 {
-					scanState(int(t.idx))
-				} else {
-					scanRange(int(t.idx), int(t.lo), int(t.hi))
-				}
-			}
-		} else {
-			var cursor int64
-			var wg sync.WaitGroup
-			wg.Add(workers)
-			for wk := 0; wk < workers; wk++ {
-				go func() {
-					defer wg.Done()
-					for {
-						ti := int(atomic.AddInt64(&cursor, 1)) - 1
-						if ti >= len(tasks) {
-							return
-						}
-						t := tasks[ti]
-						if t.lo < 0 {
-							scanState(int(t.idx))
-						} else {
-							scanRange(int(t.idx), int(t.lo), int(t.hi))
-						}
-					}
-				}()
-			}
-			wg.Wait()
-		}
-	} else {
-		for i, ci := range affected {
-			if !alive[ci] {
-				continue
-			}
-			scanned++
-			scanState(i)
-		}
-	}
-	d.met.ProgressScans += scanned
-	var removed []int32
-	for i, ci := range affected {
-		if bad[i] != 0 && alive[ci] {
+		if bad >= 0 {
 			removed = append(removed, ci)
+			blame = append(blame, bad)
 		}
 	}
-	return removed
-}
-
-// firstBadPair re-identifies the first pair (in ascending pair order) of
-// converter state ci whose prog verdict fails, or -1 if none does. The
-// sharded scan records only a per-state flag — which shard tripped it is
-// schedule-dependent — so the failure path recomputes the blame
-// deterministically from the still-valid masks.
-func (d *deriver) firstBadPair(ci int32) int32 {
-	pt := d.prog
-	w := pt.words
-	numA := int32(d.numA)
-	combos := pt.combos[ci]
-	cursor := 0
-	blame := int32(-1)
-	d.table.get(ci).forEachUntil(func(p int32) bool {
-		a := p % numA
-		pb := p / numA
-		for cursor < len(combos) && combos[cursor] < pb {
-			cursor++
-		}
-		if cursor == len(combos) || combos[cursor] != pb {
-			blame = p
-			return true
-		}
-		if !pt.accIx.Prog(spec.State(a), pt.ready[ci][cursor*w:cursor*w+w]) {
-			blame = p
-			return true
-		}
-		return false
-	})
-	return blame
+	return removed, blame
 }

@@ -17,11 +17,14 @@ import (
 
 // System is the read-only stepping surface the engine needs: initial
 // state, outgoing edges, and names for reporting. Both *spec.Spec and
-// *compose.Indexed satisfy it, so large composed environments can be
-// simulated straight from the fused index-space composition without ever
-// materializing a string-keyed *spec.Spec. ExtEdges and IntEdges must
-// return stable orders (the sorted orders both implementations guarantee);
-// Enabled and the fairness scheduler inherit reproducibility from them.
+// *compose.Lazy satisfy it, so large composed environments can be
+// simulated straight from the demand-driven composition — which expands
+// each composite state the first time a walk or search reaches it —
+// without ever materializing a string-keyed *spec.Spec. The engine walks
+// from Init and never enumerates states by NumStates, so a Lazy's growing
+// state count is fine. ExtEdges and IntEdges must return stable orders
+// (the sorted orders both implementations guarantee); Enabled and the
+// fairness scheduler inherit reproducibility from them.
 type System interface {
 	Name() string
 	NumStates() int

@@ -20,7 +20,10 @@ import (
 // (a no-converter verdict is a bench failure, not a measurement), while a
 // raw Generate seed carries no such guarantee. Each family instance is
 // therefore the first derivable system in a fixed seed scan starting at n —
-// deterministic, so rand(7) is the same system everywhere, forever.
+// deterministic, so rand(7) is the same system everywhere, forever. Each
+// candidate is decided with the demand-driven composition under a fixed
+// familyMaxStates bound; a candidate whose safety phase hits the bound
+// counts as not derivable, so the scan never stalls on one huge product.
 func init() {
 	specgen.MustRegister("rand", func(n int) (specgen.Family, error) {
 		k := DefaultKnobs()
@@ -34,6 +37,11 @@ func init() {
 	})
 }
 
+// familyMaxStates bounds the converter states a seed-scan candidate may
+// reach before it is skipped. Changing it can change which seed a family
+// instance resolves to, so it is a constant, not an option.
+const familyMaxStates = 1 << 16
+
 func familyOf(name string, base int64, k Knobs) (specgen.Family, error) {
 	// A large odd stride keeps the scans for different n disjoint from the
 	// plain consecutive seed space the campaign runner walks.
@@ -43,11 +51,12 @@ func familyOf(name string, base int64, k Knobs) (specgen.Family, error) {
 		if sys.Validate() != nil {
 			continue
 		}
-		b, err := compose.Many(sys.Components...)
+		b, err := compose.LazyMany(sys.Components...)
 		if err != nil {
 			continue
 		}
-		if res, derr := core.Derive(sys.Service, b, core.Options{OmitVacuous: true}); derr == nil && res.Exists {
+		opts := core.Options{OmitVacuous: true, MaxStates: familyMaxStates}
+		if res, derr := core.DeriveEnv(sys.Service, b, opts); derr == nil && res.Exists {
 			return specgen.Family{Name: name, Service: sys.Service, Components: sys.Components}, nil
 		}
 	}

@@ -12,10 +12,9 @@
 // oracle on each one:
 //
 //   - the eager string-spec pipeline (compose.Many + core.Derive),
-//   - the fused index-space pipeline (compose.IndexedMany + core.DeriveEnv),
 //   - the demand-driven pipeline (compose.LazyMany + core.DeriveEnv),
 //
-// each at worker counts 1, 2, and 4 — all nine runs must agree bit for bit
+// each at worker counts 1, 2, and 4 — all six runs must agree bit for bit
 // (verdict, converter listing, and derivation statistics) — plus:
 //
 //   - internal/sat via core.Verify: a derived converter must actually make
@@ -222,8 +221,8 @@ type System struct {
 //	    by composition and vanish from Σ_B;
 //	(4) at least one component event is converter-facing (Int nonempty).
 //
-// A nil return means compose.Many, compose.IndexedMany, compose.LazyMany,
-// and core.Derive all accept the system.
+// A nil return means compose.Many, compose.LazyMany, and core.Derive all
+// accept the system.
 func (sys *System) Validate() error {
 	if sys.Service == nil {
 		return fmt.Errorf("protosmith: system has no service")

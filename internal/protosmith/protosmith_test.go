@@ -85,7 +85,9 @@ func TestCampaignSmoke(t *testing.T) {
 	if len(rep.Failures) != 0 {
 		t.Fatalf("unexpected divergences:\n%s", rep)
 	}
-	if rep.Systems != 60 || rep.EngineRuns < 60*10 {
+	// Per system: spec and lazy pipelines at workers 1, 2, 4, plus the
+	// robust leg.
+	if rep.Systems != 60 || rep.EngineRuns != 60*7 {
 		t.Errorf("campaign underran: %d systems, %d engine runs", rep.Systems, rep.EngineRuns)
 	}
 	if rep.OracleSafetyProbes == 0 || rep.BaselineProbes == 0 {
@@ -194,7 +196,9 @@ func TestFixtureRoundTrip(t *testing.T) {
 }
 
 func TestRegisteredFamilies(t *testing.T) {
-	for _, name := range []string{"rand(3)", "rand(17)", "randwedge(5)"} {
+	// randwedge(293005)'s seed scan passes a candidate whose safety phase
+	// runs past familyMaxStates; the bound must skip it promptly.
+	for _, name := range []string{"rand(3)", "rand(17)", "randwedge(5)", "randwedge(293005)"} {
 		f1, err := specgen.ParseFamily(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

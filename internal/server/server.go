@@ -221,7 +221,6 @@ type compiledRequest struct {
 	a        *spec.Spec
 	envs     []*spec.Spec
 	comps    []*spec.Spec
-	engine   string // "lazy" or "indexed"; only used with comps
 	coreOpts core.Options
 	prune    bool
 	minimize bool
@@ -292,16 +291,6 @@ func (s *Server) compile(req *api.DeriveRequest) (*compiledRequest, *api.Error) 
 		}
 		cr.comps = append(cr.comps, sp)
 	}
-	switch req.Options.Engine {
-	case "", "lazy":
-		cr.engine = "lazy"
-	case "indexed":
-		cr.engine = "indexed"
-	default:
-		return nil, &api.Error{Code: api.ErrCodeBadRequest,
-			Message: fmt.Sprintf("options.engine: unknown engine %q (lazy or indexed)", req.Options.Engine)}
-	}
-
 	maxStates := req.Options.MaxStates
 	if s.cfg.MaxStatesCap > 0 && (maxStates == 0 || maxStates > s.cfg.MaxStatesCap) {
 		maxStates = s.cfg.MaxStatesCap
@@ -345,12 +334,6 @@ func (s *Server) executeDerivation(cr *compiledRequest) flightResult {
 	var res *core.Result
 	var derr error
 	switch {
-	case len(cr.comps) > 0 && cr.engine == "indexed":
-		x, err := compose.IndexedMany(cr.comps...)
-		if err != nil {
-			return flightResult{err: &api.Error{Code: api.ErrCodeBadRequest, Message: err.Error()}}
-		}
-		res, derr = core.DeriveEnvContext(dctx, cr.a, x, cr.coreOpts)
 	case len(cr.comps) > 0:
 		x, err := compose.LazyMany(cr.comps...)
 		if err != nil {

@@ -263,9 +263,6 @@ func TestBadRequests(t *testing.T) {
 			Envs: []api.SpecSource{{Inline: worldText}}}, 400, api.ErrCodeBadSpec},
 		{"unknown ref", api.DeriveRequest{Service: api.SpecSource{Ref: "nope"},
 			Envs: []api.SpecSource{{Inline: worldText}}}, 404, api.ErrCodeNotFound},
-		{"bad engine", api.DeriveRequest{Service: api.SpecSource{Inline: serviceText},
-			Components: []api.SpecSource{{Inline: worldText}},
-			Options:    api.DeriveOptions{Engine: "warp"}}, 400, api.ErrCodeBadRequest},
 	}
 	for _, tc := range cases {
 		out, code := postDerive(t, ts.URL, tc.req)
@@ -335,10 +332,10 @@ func TestSpecUploadAndDeriveByRef(t *testing.T) {
 	}
 }
 
-func TestComponentsLazyAndIndexedShareCacheKey(t *testing.T) {
-	// The engine result is bit-identical across pipelines, so engine choice
-	// is excluded from the key: an indexed derivation warms the cache for a
-	// lazy one.
+func TestComponentsWorkersShareCacheKey(t *testing.T) {
+	// The engine result is bit-identical for every worker count, so Workers
+	// is excluded from the key: a derivation at the server default warms
+	// the cache for a request asking for more workers.
 	_, ts := newTestServer(t, Config{})
 	f := specgen.Chain(2)
 	comps := make([]api.SpecSource, len(f.Components))
@@ -348,28 +345,21 @@ func TestComponentsLazyAndIndexedShareCacheKey(t *testing.T) {
 	req := api.DeriveRequest{
 		Service:    api.SpecSource{Inline: dsl.String(f.Service)},
 		Components: comps,
-		Options:    api.DeriveOptions{Engine: "indexed"},
 	}
 	first, code := postDerive(t, ts.URL, req)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %+v", code, first.Error)
 	}
-	req.Options.Engine = "lazy"
+	req.Options.Workers = 4
 	second, code := postDerive(t, ts.URL, req)
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if !second.Cached {
-		t.Error("lazy request should be served from the indexed derivation's cache entry")
+		t.Error("worker count fragments the cache key")
 	}
 	if first.Key != second.Key {
-		t.Errorf("keys differ across engines: %s vs %s", first.Key, second.Key)
-	}
-	// Workers likewise must not fragment the cache.
-	req.Options.Workers = 4
-	third, _ := postDerive(t, ts.URL, req)
-	if !third.Cached {
-		t.Error("worker count fragments the cache key")
+		t.Errorf("keys differ across worker counts: %s vs %s", first.Key, second.Key)
 	}
 }
 

@@ -49,8 +49,8 @@ func TestChainFamilyShape(t *testing.T) {
 func TestRingFamilyShape(t *testing.T) {
 	// n is capped at 3 here: the pairwise left fold explodes on open rings
 	// (every intermediate product is unconstrained until the ring closes),
-	// which is the very hotspot the fused indexed composition removes —
-	// larger n is covered by the indexed-path tests at the protoquot level.
+	// which is the very hotspot the demand-driven composition avoids —
+	// larger n is covered by the lazy-path tests at the protoquot level.
 	for n := 1; n <= 3; n++ {
 		f := Ring(n)
 		if err := f.Service.IsNormalForm(); err != nil {

@@ -140,18 +140,6 @@ func DOT(s *Spec) string { return render.DOTString(s, render.DOTOptions{}) }
 // and are hidden; an event in three or more components is an error.
 func Compose(specs ...*Spec) (*Spec, error) { return compose.Many(specs...) }
 
-// Indexed is a composed system held in the fused integer index space:
-// states are dense ids with lazily materialized names, transitions are flat
-// arrays. It satisfies Environment, so it feeds DeriveEnv directly.
-type Indexed = compose.Indexed
-
-// ComposeIndexed fuses the n-way composition in one pass over integer state
-// ids, skipping the left fold's intermediate products and all string-keyed
-// state bookkeeping. It accepts exactly the systems Compose accepts and
-// represents the same machine; on large products it is orders of magnitude
-// faster (see BENCH_pr3.json). Use (*Indexed).Spec to materialize a *Spec.
-func ComposeIndexed(specs ...*Spec) (*Indexed, error) { return compose.IndexedMany(specs...) }
-
 // Lazy is a demand-driven composed system: composite states are expanded
 // only when a consumer first asks for their successors. It satisfies
 // Environment; fed to DeriveEnv, the derivation's own safety phase drives
@@ -159,9 +147,10 @@ func ComposeIndexed(specs ...*Spec) (*Indexed, error) { return compose.IndexedMa
 // ever built.
 type Lazy = compose.Lazy
 
-// ComposeLazy builds the demand-driven n-way composition. It accepts exactly
-// the systems ComposeIndexed accepts and represents the same machine; only
-// the initial state is interned up front. The converter DeriveEnv produces
+// ComposeLazy builds the demand-driven n-way composition over integer state
+// ids, skipping the left fold's intermediate products and all string-keyed
+// state bookkeeping. It accepts exactly the systems Compose accepts and
+// represents the same machine; only the initial state is interned up front. The converter DeriveEnv produces
 // over it is bit-identical to the eager engines' for every worker count.
 // Use (*Lazy).Spec to saturate and materialize a *Spec.
 func ComposeLazy(specs ...*Spec) (*Lazy, error) { return compose.LazyMany(specs...) }
@@ -204,12 +193,12 @@ func DeriveRobustContext(ctx context.Context, a *Spec, bs []*Spec, opts Options)
 }
 
 // Environment is the read-side surface the deriver needs from B; both *Spec
-// and *Indexed satisfy it. See core.Environment for the edge-order contract.
+// and *Lazy satisfy it. See core.Environment for the edge-order contract.
 type Environment = core.Environment
 
-// DeriveEnv is Derive over any Environment — most usefully an *Indexed from
-// ComposeIndexed, feeding the fused composition straight into the engine
-// with no *Spec materialization in between. The derived converter is
+// DeriveEnv is Derive over any Environment — most usefully a *Lazy from
+// ComposeLazy, whose safety phase expands only the slice of the product it
+// touches, with no *Spec materialization in between. The derived converter is
 // bit-identical to Derive over the equivalent eager composition.
 func DeriveEnv(a *Spec, b Environment, opts Options) (*Result, error) {
 	return core.DeriveEnv(a, b, opts)
