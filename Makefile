@@ -26,7 +26,7 @@ race:
 	$(GO) test -race ./...
 
 # One iteration of every derivation-engine benchmark: catches bit-rot in
-# the bench harness and smoke-tests the parallel engine under -benchtime=1x.
+# the bench harness and smoke-tests the engine under -benchtime=1x.
 benchsmoke:
 	$(GO) test -run '^$$' -bench Derive -benchtime 1x .
 
@@ -41,11 +41,11 @@ bench:
 	$(GO) test -run '^$$' -bench 'Derive|Compose' -benchmem .
 	$(GO) run ./cmd/quotbench -label pr4 \
 		-families 'chain(4),chain(5),chain(6),chaindrop(4),chaindrop(5),ring(2),ring(3)' \
-		-engine spec,lazy -workers 1,2 -reps 6 -derivetimeout 60s \
+		-engine spec,lazy -reps 6 -derivetimeout 60s \
 		-out BENCH_pr4.json
 	$(GO) run ./cmd/quotbench -label pr4 \
 		-families 'chain(7),chaindrop(6),ring(4),ring(5)' \
-		-engine lazy -workers 1,2 -reps 6 -derivetimeout 30s \
+		-engine lazy -reps 6 -derivetimeout 30s \
 		-append -out BENCH_pr4.json
 
 # The million-state frontier trajectory into BENCH_pr9.json: the
@@ -57,15 +57,15 @@ bench-frontier:
 	rm -f BENCH_pr9.json
 	$(GO) run ./cmd/quotbench -label pr9 \
 		-families 'chain(8),chaindrop(7),ring(6)' \
-		-engine lazy -workers 1,2 -reps 3 -derivetimeout 60s \
+		-engine lazy -reps 3 -derivetimeout 60s \
 		-out BENCH_pr9.json
 	$(GO) run ./cmd/quotbench -label pr9 \
 		-families 'chain(9)' \
-		-engine lazy -workers 1,2 -reps 2 -derivetimeout 120s \
+		-engine lazy -reps 2 -derivetimeout 120s \
 		-append -out BENCH_pr9.json
 	$(GO) run ./cmd/quotbench -label pr9 \
 		-families 'chain(10)' \
-		-engine lazy -workers 1 -reps 1 -derivetimeout 600s \
+		-engine lazy -reps 1 -derivetimeout 600s \
 		-append -out BENCH_pr9.json
 
 # Concurrent load against an in-process quotd: N clients × rounds over
@@ -140,9 +140,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime 5s ./internal/spec
 
 # The randomized differential gate: a fixed-seed protosmith campaign across
-# both engine pipelines (spec and lazy) at workers 1, 2, and 4,
-# cross-checked against the sat checker, the raw-edge oracles, and the
-# baseline candidate probes.
+# both engine pipelines (spec and lazy), cross-checked against the sat
+# checker, the raw-edge oracles, and the baseline candidate probes.
 # Fails (exit 2) on any divergence or malformed generated system; -shrink
 # reduces a failure to a minimal reproducer committed under
 # testdata/protosmith/.

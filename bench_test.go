@@ -392,61 +392,48 @@ func BenchmarkWindowToNSQuotient(b *testing.B) {
 
 // --- Derivation engine: parallel interned safety phase ---
 //
-// The BenchmarkDerive* family exercises the engine knobs that
-// Result.Stats.Metrics reports: worker scaling of the level-synchronous
-// safety phase and the pair-set interning hit rate. The derived converter
-// is bit-identical for every worker count (asserted by golden_test.go), so
-// these compare pure engine cost. Worker scaling needs hardware
-// parallelism: with GOMAXPROCS=1 all counts collapse to the sequential
-// cost (the shared recycling pool keeps multi-worker overhead near zero);
-// on a multi-core box the safety-µs metric drops as workers are added.
+// The BenchmarkDerive* family reports the engine metrics that
+// Result.Stats.Metrics carries: the safety-phase wall time and the pair-set
+// interning hit rate.
 
-// BenchmarkDeriveWindowWorkers derives the window-3 go-back-N to
-// one-at-a-time conversion — the widest-frontier workload in the
-// protocol library (peak frontier ≈ 60 states) — at 1, 2, and 4 workers,
-// reporting the safety-phase wall time and the interning hit rate.
-func BenchmarkDeriveWindowWorkers(b *testing.B) {
+// BenchmarkDeriveWindow derives the window-3 go-back-N to one-at-a-time
+// conversion — the widest-frontier workload in the protocol library (peak
+// frontier ≈ 60 states) — reporting the safety-phase wall time and the
+// interning hit rate.
+func BenchmarkDeriveWindow(b *testing.B) {
 	env, err := protocols.WindowToNSB(protocols.WindowConfig{Window: 3, Modulus: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
 	svc := protocols.WindowService(3)
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var safety time.Duration
-			var m core.Metrics
-			for i := 0; i < b.N; i++ {
-				res, err := core.Derive(svc, env, core.Options{OmitVacuous: true, Workers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				m = res.Stats.Metrics
-				safety += m.SafetyWall
-			}
-			b.ReportMetric(float64(safety.Microseconds())/float64(b.N), "safety-µs")
-			b.ReportMetric(100*m.InternHitRate(), "intern-hit-%")
-			b.ReportMetric(float64(m.PeakFrontier), "peak-frontier")
-		})
+	var safety time.Duration
+	var m core.Metrics
+	for i := 0; i < b.N; i++ {
+		res, err := core.Derive(svc, env, core.Options{OmitVacuous: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m = res.Stats.Metrics
+		safety += m.SafetyWall
 	}
+	b.ReportMetric(float64(safety.Microseconds())/float64(b.N), "safety-µs")
+	b.ReportMetric(100*m.InternHitRate(), "intern-hit-%")
+	b.ReportMetric(float64(m.PeakFrontier), "peak-frontier")
 }
 
-// BenchmarkDeriveFigure18Workers runs the paper's largest derivation
-// (Figure 18 transport conversion) across worker counts.
-func BenchmarkDeriveFigure18Workers(b *testing.B) {
+// BenchmarkDeriveFigure18 runs the paper's largest derivation (Figure 18
+// transport conversion).
+func BenchmarkDeriveFigure18(b *testing.B) {
 	svc, env := protocols.CST(), protocols.TransportB18()
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var safety time.Duration
-			for i := 0; i < b.N; i++ {
-				res, err := core.Derive(svc, env, core.Options{OmitVacuous: true, Workers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				safety += res.Stats.Metrics.SafetyWall
-			}
-			b.ReportMetric(float64(safety.Microseconds())/float64(b.N), "safety-µs")
-		})
+	var safety time.Duration
+	for i := 0; i < b.N; i++ {
+		res, err := core.Derive(svc, env, core.Options{OmitVacuous: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		safety += res.Stats.Metrics.SafetyWall
 	}
+	b.ReportMetric(float64(safety.Microseconds())/float64(b.N), "safety-µs")
 }
 
 // BenchmarkDeriveCancellation measures the overhead the context plumbing

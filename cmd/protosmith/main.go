@@ -4,15 +4,15 @@
 // Usage:
 //
 //	protosmith [-seed N] [-count N] [-knobs k=v,...] [-shrink]
-//	           [-emit-fixture DIR] [-workers 1,2,4] [-oracle-limit N] [-v]
+//	           [-emit-fixture DIR] [-oracle-limit N] [-v]
 //	protosmith -replay FILE.spec [-v]
 //
 // Each campaign generates -count well-formed random systems at consecutive
-// seeds and runs every one through both engine pipelines at each
-// worker count, the sat checker, the raw-edge oracles, and the baseline
-// candidate probes. Any divergence fails the run (exit 2); with -shrink it
-// is first reduced to a minimal reproducer, and with -emit-fixture the
-// reproducer is written as a ready-to-commit regression fixture.
+// seeds and runs every one through both engine pipelines, the sat checker,
+// the raw-edge oracles, and the baseline candidate probes. Any divergence
+// fails the run (exit 2); with -shrink it is first reduced to a minimal
+// reproducer, and with -emit-fixture the reproducer is written as a
+// ready-to-commit regression fixture.
 //
 // -replay re-checks a single fixture file (service first) instead of
 // generating, so committed reproducers can be bisected by hand.
@@ -25,8 +25,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"protoquot/internal/protosmith"
 )
@@ -46,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shrink      = fs.Bool("shrink", false, "reduce each diverging system to a minimal reproducer")
 		fixtureDir  = fs.String("emit-fixture", "", "write reproducers as regression fixtures under this directory")
 		replay      = fs.String("replay", "", "re-check one fixture file instead of generating")
-		workersFlag = fs.String("workers", "1,2,4", "comma-separated worker counts every engine runs at")
 		oracleLimit = fs.Int("oracle-limit", 0, "composed-environment state bound for the slow oracles (0 = default)")
 		verbose     = fs.Bool("v", false, "print one line per checked system")
 	)
@@ -63,16 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "protosmith: %v\n", err)
 		return 1
 	}
-	var workers []int
-	for _, part := range strings.Split(*workersFlag, ",") {
-		w, werr := strconv.Atoi(strings.TrimSpace(part))
-		if werr != nil || w < 1 {
-			fmt.Fprintf(stderr, "protosmith: bad -workers %q\n", *workersFlag)
-			return 1
-		}
-		workers = append(workers, w)
-	}
-	check := protosmith.CheckOptions{Workers: workers, OracleStateLimit: *oracleLimit}
+	check := protosmith.CheckOptions{OracleStateLimit: *oracleLimit}
 
 	if *replay != "" {
 		sys, lerr := protosmith.LoadFixture(*replay)

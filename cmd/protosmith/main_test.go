@@ -53,8 +53,7 @@ func TestRunReplayFixture(t *testing.T) {
 func TestRunUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-knobs", "nosuch=1"},
-		{"-workers", "0"},
-		{"-workers", "one"},
+		{"-workers", "2"}, // the removed worker-count flag
 		{"-count", "0"},
 		{"-replay", filepath.Join(t.TempDir(), "missing.spec")},
 	} {

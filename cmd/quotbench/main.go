@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	quotbench [-label name] [-families list] [-workers list] [-reps n]
+//	quotbench [-label name] [-families list] [-reps n]
 //	          [-engine spec] [-out file] [-append]
 //
 // Families are named like "chain(5)", "chaindrop(4)", "ring(3)",
@@ -25,7 +25,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -35,13 +34,12 @@ import (
 	"protoquot/internal/specgen"
 )
 
-// Run is one measured (family, engine, workers) configuration.
+// Run is one measured (family, engine) configuration.
 type Run struct {
-	Label   string `json:"label"`
-	Family  string `json:"family"`
-	Engine  string `json:"engine"`
-	Workers int    `json:"workers"`
-	Reps    int    `json:"reps"`
+	Label  string `json:"label"`
+	Family string `json:"family"`
+	Engine string `json:"engine"`
+	Reps   int    `json:"reps"`
 
 	ComposeNs  int64 `json:"compose_ns"`
 	DeriveNs   int64 `json:"derive_ns"`
@@ -76,10 +74,9 @@ type Run struct {
 	PeakRowBytes int64 `json:"peak_row_bytes,omitempty"`
 
 	// Safety-phase storage and memoization accounting (see core.Metrics):
-	// intern-shard + closure-memo + successor-row arena bytes, the resolved
-	// shard count, and closures skipped via the seed-set memo.
+	// intern-table + closure-memo + successor-row arena bytes, and closures
+	// skipped via the seed-set memo.
 	PairArenaBytes  int64 `json:"pair_arena_bytes,omitempty"`
-	InternShards    int   `json:"intern_shards,omitempty"`
 	ClosureMemoHits int   `json:"closure_memo_hits,omitempty"`
 
 	// PeakRSSBytes is the process's high-water resident set after the run
@@ -99,18 +96,6 @@ type Output struct {
 	Runs []Run  `json:"runs"`
 }
 
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, p := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 // measurement is one repetition's outcome.
 type measurement struct {
 	composeNs, deriveNs, safetyNs, progressNs, emitNs int64
@@ -123,9 +108,9 @@ type measurement struct {
 // A derivation that exceeds timeout (0 = unlimited) is reported with
 // timedOut set and whatever time it burned; the caller decides whether to
 // keep going.
-func runOnce(f specgen.Family, engine string, workers int, timeout time.Duration) (measurement, error) {
+func runOnce(f specgen.Family, engine string, timeout time.Duration) (measurement, error) {
 	var m measurement
-	opts := core.Options{OmitVacuous: true, Workers: workers}
+	opts := core.Options{OmitVacuous: true}
 	ctx := context.Background()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -182,7 +167,6 @@ func main() {
 	var (
 		label    = flag.String("label", "dev", "label identifying the engine build, e.g. pr3 or pr4")
 		families = flag.String("families", "chain(4),chain(5),chaindrop(4),ring(3)", "comma-separated family instances (see specgen.BenchFamilies)")
-		workers  = flag.String("workers", "1", "comma-separated worker counts")
 		reps     = flag.Int("reps", 3, "repetitions per configuration (minimum is reported)")
 		engines  = flag.String("engine", "spec", "comma-separated engines: spec (string compose + Derive), lazy (demand-driven compose fused into the safety phase)")
 		timeout  = flag.Duration("derivetimeout", 0, "per-derivation wall-clock cap (0 = unlimited); a capped run is recorded with timed_out=true")
@@ -203,17 +187,13 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if err := run(*label, *families, *workers, *engines, *reps, *timeout, *out, *appendTo); err != nil {
+	if err := run(*label, *families, *engines, *reps, *timeout, *out, *appendTo); err != nil {
 		fmt.Fprintf(os.Stderr, "quotbench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(label, families, workers, engines string, reps int, timeout time.Duration, out string, appendTo bool) error {
-	ws, err := parseInts(workers)
-	if err != nil {
-		return err
-	}
+func run(label, families, engines string, reps int, timeout time.Duration, out string, appendTo bool) error {
 	doc := Output{Note: "protoquot derivation-pipeline benchmarks over specgen families; times are min-of-reps nanoseconds, allocations from one instrumented rep"}
 	if appendTo && out != "" {
 		if data, err := os.ReadFile(out); err == nil {
@@ -229,65 +209,62 @@ func run(label, families, workers, engines string, reps int, timeout time.Durati
 		}
 		for _, engine := range strings.Split(engines, ",") {
 			engine = strings.TrimSpace(engine)
-			for _, w := range ws {
-				r := Run{Label: label, Family: f.Name, Engine: engine, Workers: w, Reps: reps}
-				for i := 0; i < reps; i++ {
-					m, err := runOnce(f, engine, w, timeout)
-					if err != nil {
-						return err
-					}
-					if m.timedOut {
-						// Record the capped attempt and move on; repeating a
-						// run that hits the wall just burns the budget again.
-						r.TimedOut = true
-						r.TotalNs = m.composeNs + m.deriveNs
-						r.ComposeNs, r.DeriveNs = m.composeNs, m.deriveNs
-						r.BStates = m.bStates
-						break
-					}
-					total := m.composeNs + m.deriveNs
-					if i == 0 || total < r.TotalNs {
-						r.TotalNs = total
-						r.ComposeNs, r.DeriveNs = m.composeNs, m.deriveNs
-						r.SafetyNs, r.ProgressNs, r.EmitNs = m.safetyNs, m.progressNs, m.emitNs
-					}
+			r := Run{Label: label, Family: f.Name, Engine: engine, Reps: reps}
+			for i := 0; i < reps; i++ {
+				m, err := runOnce(f, engine, timeout)
+				if err != nil {
+					return err
+				}
+				if m.timedOut {
+					// Record the capped attempt and move on; repeating a
+					// run that hits the wall just burns the budget again.
+					r.TimedOut = true
+					r.TotalNs = m.composeNs + m.deriveNs
+					r.ComposeNs, r.DeriveNs = m.composeNs, m.deriveNs
 					r.BStates = m.bStates
-					r.SafetyStates = m.stats.SafetyStates
-					r.FinalStates = m.stats.FinalStates
-					r.ProgressIters = m.stats.ProgressIterations
-					r.RemovedStates = m.stats.RemovedStates
-					r.TauCacheHits = m.stats.Metrics.TauCacheHits
-					r.TauInvalidated = m.stats.Metrics.TauInvalidated
-					r.ReadySetRebuilds = m.stats.Metrics.ReadySetRebuilds
-					r.EnvStatesExpanded = m.stats.Metrics.EnvStatesExpanded
-					r.EnvStatesTotal = m.stats.Metrics.EnvStatesTotal
-					r.EnvExpansionNs = m.stats.Metrics.EnvExpansionNs
-					r.ArenaBytes = m.stats.Metrics.ArenaBytes
-					r.PeakRowBytes = m.stats.Metrics.PeakRowBytes
-					r.PairArenaBytes = m.stats.Metrics.PairArenaBytes
-					r.InternShards = m.stats.Metrics.InternShards
-					r.ClosureMemoHits = m.stats.Metrics.ClosureMemoHits
+					break
 				}
-				r.PeakRSSBytes = peakRSSBytes()
-				if !r.TimedOut {
-					// One instrumented repetition for allocation figures.
-					var before, after runtime.MemStats
-					runtime.GC()
-					runtime.ReadMemStats(&before)
-					if _, err := runOnce(f, engine, w, timeout); err != nil {
-						return err
-					}
-					runtime.ReadMemStats(&after)
-					r.AllocBytes = after.TotalAlloc - before.TotalAlloc
-					r.Allocs = after.Mallocs - before.Mallocs
+				total := m.composeNs + m.deriveNs
+				if i == 0 || total < r.TotalNs {
+					r.TotalNs = total
+					r.ComposeNs, r.DeriveNs = m.composeNs, m.deriveNs
+					r.SafetyNs, r.ProgressNs, r.EmitNs = m.safetyNs, m.progressNs, m.emitNs
 				}
-				doc.Runs = append(doc.Runs, r)
-				fmt.Fprintf(os.Stderr, "%s %s engine=%s workers=%d: total=%s compose=%s derive=%s (safety=%s progress=%s emit=%s) env=%d/%d allocs=%d timedout=%v\n",
-					label, f.Name, engine, w,
-					time.Duration(r.TotalNs), time.Duration(r.ComposeNs), time.Duration(r.DeriveNs),
-					time.Duration(r.SafetyNs), time.Duration(r.ProgressNs), time.Duration(r.EmitNs),
-					r.EnvStatesExpanded, r.EnvStatesTotal, r.Allocs, r.TimedOut)
+				r.BStates = m.bStates
+				r.SafetyStates = m.stats.SafetyStates
+				r.FinalStates = m.stats.FinalStates
+				r.ProgressIters = m.stats.ProgressIterations
+				r.RemovedStates = m.stats.RemovedStates
+				r.TauCacheHits = m.stats.Metrics.TauCacheHits
+				r.TauInvalidated = m.stats.Metrics.TauInvalidated
+				r.ReadySetRebuilds = m.stats.Metrics.ReadySetRebuilds
+				r.EnvStatesExpanded = m.stats.Metrics.EnvStatesExpanded
+				r.EnvStatesTotal = m.stats.Metrics.EnvStatesTotal
+				r.EnvExpansionNs = m.stats.Metrics.EnvExpansionNs
+				r.ArenaBytes = m.stats.Metrics.ArenaBytes
+				r.PeakRowBytes = m.stats.Metrics.PeakRowBytes
+				r.PairArenaBytes = m.stats.Metrics.PairArenaBytes
+				r.ClosureMemoHits = m.stats.Metrics.ClosureMemoHits
 			}
+			r.PeakRSSBytes = peakRSSBytes()
+			if !r.TimedOut {
+				// One instrumented repetition for allocation figures.
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				if _, err := runOnce(f, engine, timeout); err != nil {
+					return err
+				}
+				runtime.ReadMemStats(&after)
+				r.AllocBytes = after.TotalAlloc - before.TotalAlloc
+				r.Allocs = after.Mallocs - before.Mallocs
+			}
+			doc.Runs = append(doc.Runs, r)
+			fmt.Fprintf(os.Stderr, "%s %s engine=%s: total=%s compose=%s derive=%s (safety=%s progress=%s emit=%s) env=%d/%d allocs=%d timedout=%v\n",
+				label, f.Name, engine,
+				time.Duration(r.TotalNs), time.Duration(r.ComposeNs), time.Duration(r.DeriveNs),
+				time.Duration(r.SafetyNs), time.Duration(r.ProgressNs), time.Duration(r.EmitNs),
+				r.EnvStatesExpanded, r.EnvStatesTotal, r.Allocs, r.TimedOut)
 		}
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")

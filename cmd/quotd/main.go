@@ -26,7 +26,6 @@
 //	-addr host:port     listen address (default 127.0.0.1:8086)
 //	-pool n             concurrent derivations (default GOMAXPROCS)
 //	-queue n            waiting requests beyond the pool before 503 (default 64)
-//	-engine-workers n   default safety-phase workers per derivation (default 1)
 //	-cache n            in-memory cache entries (default 1024)
 //	-cache-dir dir      persist converter artifacts here (off by default)
 //	-timeout d          default per-request derivation deadline (default 30s)
@@ -94,18 +93,17 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	fs := flag.NewFlagSet("quotd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr          = fs.String("addr", "127.0.0.1:8086", "listen address")
-		pool          = fs.Int("pool", 0, "concurrent derivations (0 = GOMAXPROCS)")
-		queue         = fs.Int("queue", 64, "waiting requests beyond the pool before load-shedding")
-		engineWorkers = fs.Int("engine-workers", 1, "default safety-phase workers per derivation")
-		cacheEntries  = fs.Int("cache", 1024, "in-memory converter cache entries")
-		cacheDir      = fs.String("cache-dir", "", "persist converter artifacts to this directory")
-		timeout       = fs.Duration("timeout", 30*time.Second, "default per-request derivation deadline")
-		maxTimeout    = fs.Duration("max-timeout", 5*time.Minute, "upper bound on requested deadlines")
-		maxStates     = fs.Int("max-states", 0, "hard cap on safety-phase states per derivation (0 = unlimited)")
-		drain         = fs.Duration("drain", 30*time.Second, "SIGTERM drain budget for in-flight requests")
-		preload       = fs.String("preload", "", "register .spec files matching this glob at startup")
-		quiet         = fs.Bool("quiet", false, "suppress per-request logging")
+		addr         = fs.String("addr", "127.0.0.1:8086", "listen address")
+		pool         = fs.Int("pool", 0, "concurrent derivations (0 = GOMAXPROCS)")
+		queue        = fs.Int("queue", 64, "waiting requests beyond the pool before load-shedding")
+		cacheEntries = fs.Int("cache", 1024, "in-memory converter cache entries")
+		cacheDir     = fs.String("cache-dir", "", "persist converter artifacts to this directory")
+		timeout      = fs.Duration("timeout", 30*time.Second, "default per-request derivation deadline")
+		maxTimeout   = fs.Duration("max-timeout", 5*time.Minute, "upper bound on requested deadlines")
+		maxStates    = fs.Int("max-states", 0, "hard cap on safety-phase states per derivation (0 = unlimited)")
+		drain        = fs.Duration("drain", 30*time.Second, "SIGTERM drain budget for in-flight requests")
+		preload      = fs.String("preload", "", "register .spec files matching this glob at startup")
+		quiet        = fs.Bool("quiet", false, "suppress per-request logging")
 
 		peers         = fs.String("peers", "", "comma-separated peer addresses; enables cluster mode")
 		advertise     = fs.String("advertise", "", "address peers reach this node at (default: bound listen address)")
@@ -125,7 +123,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	srv, err := server.New(server.Config{
 		PoolWorkers:    *pool,
 		MaxQueue:       *queue,
-		EngineWorkers:  *engineWorkers,
 		CacheEntries:   *cacheEntries,
 		CacheDir:       *cacheDir,
 		DefaultTimeout: *timeout,

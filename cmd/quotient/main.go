@@ -35,8 +35,6 @@
 //	                  Definitive nonexistence emits the envelope and exits 2;
 //	                  usage and I/O failures stay plain text on stderr.
 //	-verify           re-verify B‖C against A after derivation
-//	-workers n        safety-phase worker goroutines (result is identical
-//	                  for every n; 0 or 1 = sequential)
 //	-stats            print derivation statistics and engine metrics to stderr
 //	-v                narrate the derivation phases to stderr
 //	-cpuprofile file  write a CPU profile of the run
@@ -105,7 +103,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		normalize   = fs.Bool("normalize", false, "determinize the service if not in normal form")
 		jsonOut     = fs.Bool("json", false, "emit the quotd DeriveResponse envelope instead of bare converter text")
 		verify      = fs.Bool("verify", false, "re-verify the result against every environment")
-		workers     = fs.Int("workers", 0, "safety-phase worker goroutines (0 or 1 = sequential; result identical for every count)")
 		stats       = fs.Bool("stats", false, "print derivation statistics and engine metrics to stderr")
 		verbose     = fs.Bool("v", false, "narrate the derivation phases to stderr")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -184,15 +181,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		OmitVacuous:        *omitVacuous,
 		MaxStates:          *maxStates,
 		SafetyOnly:         *safetyOnly,
-		Workers:            *workers,
 		MinimizeComponents: *minimizeEnv,
 	}
 	if *verbose {
 		opts.Trace = core.LogAdapter(stderr)
 	}
 	// The content address of this derivation: the same key quotd would
-	// compute for an equivalent POST /v1/derive (Workers deliberately absent
-	// — the result is bit-identical for every count).
+	// compute for an equivalent POST /v1/derive.
 	key := api.CacheKey(a, envs, nil, api.DeriveOptions{
 		OmitVacuous: *omitVacuous,
 		SafetyOnly:  *safetyOnly,
@@ -337,14 +332,11 @@ func printStats(w io.Writer, s core.Stats) {
 	fmt.Fprintf(w, "converter:      %d states, %d transitions\n",
 		s.FinalStates, s.FinalTransitions)
 	m := s.Metrics
-	fmt.Fprintf(w, "engine:         %d worker(s), safety %s (%d levels, peak frontier %d), progress %s (%d scans), emit %s\n",
-		m.Workers, m.SafetyWall.Round(time.Microsecond), m.SafetyLevels, m.PeakFrontier,
+	fmt.Fprintf(w, "engine:         safety %s (%d levels, peak frontier %d), progress %s (%d scans), emit %s\n",
+		m.SafetyWall.Round(time.Microsecond), m.SafetyLevels, m.PeakFrontier,
 		m.ProgressWall.Round(time.Microsecond), m.ProgressScans, m.EmitWall.Round(time.Microsecond))
 	fmt.Fprintf(w, "interning:      %d lookups, %d hits (%.1f%% hit rate)",
 		m.InternLookups, m.InternHits, 100*m.InternHitRate())
-	if m.InternShards > 1 {
-		fmt.Fprintf(w, ", %d shards", m.InternShards)
-	}
 	if m.ClosureMemoHits > 0 {
 		fmt.Fprintf(w, ", %d closure memo hits", m.ClosureMemoHits)
 	}

@@ -81,8 +81,8 @@ func fixturePath(name string) string {
 	return filepath.Join("testdata", "golden", name+".golden")
 }
 
-// TestGoldenFixtures derives every fixture case at worker counts 1, 2, and
-// 4 and compares each outcome byte-for-byte against the pinned file.
+// TestGoldenFixtures derives every fixture case through both pipelines and
+// compares each outcome byte-for-byte against the pinned file.
 func TestGoldenFixtures(t *testing.T) {
 	update := os.Getenv("PROTOQUOT_GOLDEN") == "update"
 	if update {
@@ -92,35 +92,23 @@ func TestGoldenFixtures(t *testing.T) {
 	}
 	for _, tc := range fixtureCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			var canonical string
-			for _, w := range []int{1, 2, 4} {
-				opts := tc.opts
-				opts.Workers = w
-				got := renderOutcome(deriveWith(tc.a, tc.bs, opts))
-				if w == 1 {
-					canonical = got
-					if update {
-						if err := os.WriteFile(fixturePath(tc.name), []byte(got), 0o644); err != nil {
-							t.Fatal(err)
-						}
-						continue
-					}
-					want, err := os.ReadFile(fixturePath(tc.name))
-					if err != nil {
-						t.Fatalf("missing fixture (run with PROTOQUOT_GOLDEN=update to create): %v", err)
-					}
-					if got != string(want) {
-						t.Errorf("outcome diverged from pinned fixture %s\ngot:\n%s", fixturePath(tc.name), truncate(got))
-					}
-					continue
+			canonical := renderOutcome(deriveWith(tc.a, tc.bs, tc.opts))
+			if update {
+				if err := os.WriteFile(fixturePath(tc.name), []byte(canonical), 0o644); err != nil {
+					t.Fatal(err)
 				}
-				if got != canonical {
-					t.Errorf("workers=%d outcome differs from workers=1\ngot:\n%s", w, truncate(got))
+			} else {
+				want, err := os.ReadFile(fixturePath(tc.name))
+				if err != nil {
+					t.Fatalf("missing fixture (run with PROTOQUOT_GOLDEN=update to create): %v", err)
+				}
+				if canonical != string(want) {
+					t.Errorf("outcome diverged from pinned fixture %s\ngot:\n%s", fixturePath(tc.name), truncate(canonical))
 				}
 			}
 			// The demand-driven pipeline must reproduce the same pinned
-			// outcome at every worker count: over the raw component list when
-			// the case is a composition, else over the single environment.
+			// outcome: over the raw component list when the case is a
+			// composition, else over the single environment.
 			comps := tc.comps
 			if comps == nil && len(tc.bs) == 1 {
 				comps = tc.bs
@@ -128,12 +116,8 @@ func TestGoldenFixtures(t *testing.T) {
 			if comps == nil {
 				return
 			}
-			for _, w := range []int{1, 2, 4} {
-				opts := tc.opts
-				opts.Workers = w
-				if got := renderOutcome(deriveLazyWith(tc.a, comps, opts)); got != canonical {
-					t.Errorf("lazy pipeline workers=%d diverged from pinned outcome\ngot:\n%s", w, truncate(got))
-				}
+			if got := renderOutcome(deriveLazyWith(tc.a, comps, tc.opts)); got != canonical {
+				t.Errorf("lazy pipeline diverged from pinned outcome\ngot:\n%s", truncate(got))
 			}
 		})
 	}
@@ -149,7 +133,7 @@ func truncate(s string) string {
 // TestIndexedEngineDifferentialSweep compares the two pipelines live —
 // eager string composition + Derive, and the demand-driven index-space
 // composition fused into the safety phase — on specgen instances larger
-// than the pinned fixtures, at every worker count.
+// than the pinned fixtures.
 // Unlike TestGoldenFixtures this needs no pinned file: the engines check
 // each other.
 func TestIndexedEngineDifferentialSweep(t *testing.T) {
@@ -162,17 +146,15 @@ func TestIndexedEngineDifferentialSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range []int{1, 2, 4} {
-				opts := Options{OmitVacuous: true, Workers: w}
-				spec := deriveWith(f.Service, []*Spec{b}, opts)
-				lz := deriveLazyWith(f.Service, f.Components, opts)
-				if spec != lz {
-					t.Errorf("workers=%d: lazy pipeline disagrees\nspec: %.300s\nlazy: %.300s",
-						w, renderOutcome(spec), renderOutcome(lz))
-				}
-				if !spec.exists {
-					t.Fatalf("workers=%d: expected a converter: %s", w, spec.err)
-				}
+			opts := Options{OmitVacuous: true}
+			spec := deriveWith(f.Service, []*Spec{b}, opts)
+			lz := deriveLazyWith(f.Service, f.Components, opts)
+			if spec != lz {
+				t.Errorf("lazy pipeline disagrees\nspec: %.300s\nlazy: %.300s",
+					renderOutcome(spec), renderOutcome(lz))
+			}
+			if !spec.exists {
+				t.Fatalf("expected a converter: %s", spec.err)
 			}
 		})
 	}

@@ -55,8 +55,7 @@ func deriveWith(a *Spec, bs []*Spec, opts Options) deriveOutcome {
 // environment exploration and no *spec.Spec environment in between. The
 // engine contract is that this path is bit-identical to deriveWith over the
 // eager composition of the same components. Composite state ids under this
-// pipeline depend on demand order (scheduling-dependent when workers > 1),
-// but everything the outcome captures — converter names and structure,
+// pipeline are numbered in demand order, but everything the outcome captures — converter names and structure,
 // statistics, failure messages — is invariant under that renaming, so the
 // comparison against the eager pipeline is still exact.
 func deriveLazyWith(a *Spec, comps []*Spec, opts Options) deriveOutcome {
@@ -85,8 +84,8 @@ func outcomeOf(res *core.Result, err error) deriveOutcome {
 }
 
 // TestGoldenParallelEqualsSequentialOnSpecs derives every ordered pair of
-// machines under specs/ (service candidate × environment candidate) with
-// the sequential engine and with 4 workers, asserting bit-identical
+// machines under specs/ (service candidate × environment candidate) through
+// the eager and the demand-driven pipeline, asserting bit-identical
 // outcomes — converter state names and edges, statistics, and failure
 // messages alike. Most pairs are mutually incompatible machines (the files
 // are individual protocol halves and derived converters, not composed
@@ -102,8 +101,8 @@ func TestGoldenParallelEqualsSequentialOnSpecs(t *testing.T) {
 	for n := range specs {
 		names = append(names, n)
 	}
-	// MaxStates bounds pathological pairs; both engines must hit the bound
-	// at the identical point.
+	// MaxStates bounds pathological pairs; both pipelines must hit the
+	// bound at the identical point.
 	const bound = 3000
 	reached := 0
 	for _, an := range names {
@@ -112,21 +111,11 @@ func TestGoldenParallelEqualsSequentialOnSpecs(t *testing.T) {
 				continue
 			}
 			a, b := specs[an], specs[bn]
-			seq := deriveWith(a, []*Spec{b}, Options{MaxStates: bound, Workers: 1})
-			par := deriveWith(a, []*Spec{b}, Options{MaxStates: bound, Workers: 4})
-			if seq != par {
-				t.Errorf("%s / %s: parallel run differs from sequential:\nseq: %+v\npar: %+v",
-					an, bn, abbreviate(seq), abbreviate(par))
-			}
-			lz := deriveLazyWith(a, []*Spec{b}, Options{MaxStates: bound, Workers: 1})
+			seq := deriveWith(a, []*Spec{b}, Options{MaxStates: bound})
+			lz := deriveLazyWith(a, []*Spec{b}, Options{MaxStates: bound})
 			if seq != lz {
 				t.Errorf("%s / %s: lazy pipeline differs from spec pipeline:\nspec: %+v\nlazy: %+v",
 					an, bn, abbreviate(seq), abbreviate(lz))
-			}
-			sh := deriveWith(a, []*Spec{b}, Options{MaxStates: bound, Workers: 4, InternShards: 8})
-			if seq != sh {
-				t.Errorf("%s / %s: sharded intern run differs from sequential:\nseq:   %+v\nshard: %+v",
-					an, bn, abbreviate(seq), abbreviate(sh))
 			}
 			if seq.exists || strings.Contains(seq.err, "no converter exists") {
 				reached++
@@ -139,9 +128,9 @@ func TestGoldenParallelEqualsSequentialOnSpecs(t *testing.T) {
 	t.Logf("compared %d ordered pairs, %d reached the quotient algorithm", len(names)*(len(names)-1), reached)
 }
 
-// TestGoldenParallelComposedSystems runs the same sequential-vs-parallel
-// comparison on the paper's composed conversion configurations, where
-// derivations succeed and produce converters with hundreds of states.
+// TestGoldenParallelComposedSystems runs the same spec-vs-lazy comparison
+// on the paper's composed conversion configurations, where derivations
+// succeed and produce converters with hundreds of states.
 func TestGoldenParallelComposedSystems(t *testing.T) {
 	cases := []struct {
 		name string
@@ -159,19 +148,10 @@ func TestGoldenParallelComposedSystems(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o1, o4 := tc.opts, tc.opts
-			o1.Workers, o4.Workers = 1, 4
-			seq := deriveWith(tc.a, []*Spec{tc.b}, o1)
-			par := deriveWith(tc.a, []*Spec{tc.b}, o4)
-			if seq != par {
-				t.Errorf("parallel run differs from sequential:\nseq: %+v\npar: %+v",
-					abbreviate(seq), abbreviate(par))
-			}
-			for _, o := range []Options{o1, o4} {
-				if lz := deriveLazyWith(tc.a, []*Spec{tc.b}, o); seq != lz {
-					t.Errorf("lazy pipeline (workers=%d) differs from spec pipeline:\nspec: %+v\nlazy: %+v",
-						o.Workers, abbreviate(seq), abbreviate(lz))
-				}
+			seq := deriveWith(tc.a, []*Spec{tc.b}, tc.opts)
+			if lz := deriveLazyWith(tc.a, []*Spec{tc.b}, tc.opts); seq != lz {
+				t.Errorf("lazy pipeline differs from spec pipeline:\nspec: %+v\nlazy: %+v",
+					abbreviate(seq), abbreviate(lz))
 			}
 		})
 	}
@@ -208,14 +188,12 @@ func TestGoldenIndexedPaperComponents(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range []int{1, 4} {
-				opts := Options{OmitVacuous: true, Workers: w}
-				spec := deriveWith(tc.a, []*Spec{b}, opts)
-				lz := deriveLazyWith(tc.a, tc.comps, opts)
-				if spec != lz {
-					t.Errorf("workers=%d: lazy pipeline differs from spec pipeline:\nspec: %+v\nlazy: %+v",
-						w, abbreviate(spec), abbreviate(lz))
-				}
+			opts := Options{OmitVacuous: true}
+			spec := deriveWith(tc.a, []*Spec{b}, opts)
+			lz := deriveLazyWith(tc.a, tc.comps, opts)
+			if spec != lz {
+				t.Errorf("lazy pipeline differs from spec pipeline:\nspec: %+v\nlazy: %+v",
+					abbreviate(spec), abbreviate(lz))
 			}
 		})
 	}
@@ -228,9 +206,10 @@ func abbreviate(o deriveOutcome) deriveOutcome {
 	return o
 }
 
-// TestGoldenParallelWindowProtocols pushes worker invariance through the
-// heavier generated workloads the benchmarks use, where frontiers are wide
-// enough for all 4 workers to actually run concurrently.
+// TestGoldenParallelWindowProtocols pushes run-to-run determinism through
+// the heavier generated workloads the benchmarks use: two derivations of
+// the same inputs must agree bit for bit, and both must produce a
+// converter.
 func TestGoldenParallelWindowProtocols(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second derivation")
@@ -249,11 +228,11 @@ func TestGoldenParallelWindowProtocols(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			seq := deriveWith(tc.a, []*Spec{tc.b}, Options{OmitVacuous: true, Workers: 1})
-			par := deriveWith(tc.a, []*Spec{tc.b}, Options{OmitVacuous: true, Workers: 4})
-			if seq != par {
-				t.Errorf("parallel run differs from sequential:\nseq: %+v\npar: %+v",
-					abbreviate(seq), abbreviate(par))
+			seq := deriveWith(tc.a, []*Spec{tc.b}, Options{OmitVacuous: true})
+			again := deriveWith(tc.a, []*Spec{tc.b}, Options{OmitVacuous: true})
+			if seq != again {
+				t.Errorf("repeated run differs:\nfirst:  %+v\nsecond: %+v",
+					abbreviate(seq), abbreviate(again))
 			}
 			if !seq.exists {
 				t.Fatalf("expected a converter: %s", seq.err)

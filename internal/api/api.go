@@ -54,16 +54,12 @@ type SpecSource struct {
 //
 // Only the semantic options — those that change the derived artifact —
 // participate in the cache key: OmitVacuous, SafetyOnly, MaxStates,
-// MinimizeEnv, Normalize, Prune, Minimize. Workers is excluded because the
-// engine's outcome is bit-identical for every worker count and for the
-// lazy and eager composition pipelines alike (the golden differential
-// suites pin this); TimeoutMS and the artifact selectors (IncludeDOT,
-// IncludeGo, GoPackage) are excluded because they do not change the
-// converter, only how much of it is rendered into the response.
+// MinimizeEnv, Normalize, Prune, Minimize. TimeoutMS and the artifact
+// selectors (IncludeDOT, IncludeGo, GoPackage) are excluded because they do
+// not change the converter, only how much of it is rendered into the
+// response. A "workers" field, which older clients may still send, is
+// ignored: the engine is single-threaded.
 type DeriveOptions struct {
-	// Workers is the engine worker count for the safety phase; 0 means the
-	// server default. The result is bit-identical for every value.
-	Workers int `json:"workers,omitempty"`
 	// Normalize determinizes the service first if it is not in normal form;
 	// without it a non-normal service is a bad request.
 	Normalize bool `json:"normalize,omitempty"`
@@ -121,7 +117,6 @@ type WireStats struct {
 	RemovedStates      int     `json:"removed_states"`
 	FinalStates        int     `json:"final_states"`
 	FinalTransitions   int     `json:"final_transitions"`
-	Workers            int     `json:"workers"`
 	SafetyWallMS       float64 `json:"safety_wall_ms"`
 	ProgressWallMS     float64 `json:"progress_wall_ms"`
 	EmitWallMS         float64 `json:"emit_wall_ms"`
@@ -139,7 +134,6 @@ type WireStats struct {
 	ArenaBytes         int64   `json:"arena_bytes,omitempty"`
 	PeakRowBytes       int64   `json:"peak_row_bytes,omitempty"`
 	PairArenaBytes     int64   `json:"pair_arena_bytes,omitempty"`
-	InternShards       int     `json:"intern_shards,omitempty"`
 	ClosureMemoHits    int     `json:"closure_memo_hits,omitempty"`
 }
 
@@ -154,7 +148,6 @@ func StatsFromCore(s core.Stats) *WireStats {
 		RemovedStates:      s.RemovedStates,
 		FinalStates:        s.FinalStates,
 		FinalTransitions:   s.FinalTransitions,
-		Workers:            m.Workers,
 		SafetyWallMS:       DurMS(m.SafetyWall),
 		ProgressWallMS:     DurMS(m.ProgressWall),
 		EmitWallMS:         DurMS(m.EmitWall),
@@ -172,7 +165,6 @@ func StatsFromCore(s core.Stats) *WireStats {
 		ArenaBytes:         m.ArenaBytes,
 		PeakRowBytes:       m.PeakRowBytes,
 		PairArenaBytes:     m.PairArenaBytes,
-		InternShards:       m.InternShards,
 		ClosureMemoHits:    m.ClosureMemoHits,
 	}
 }
@@ -419,8 +411,8 @@ type StatsResponse struct {
 }
 
 // keyedOptions returns the canonical encoding of the semantic options — the
-// option slice of the cache key. Workers, TimeoutMS, and the
-// artifact selectors are deliberately absent; see DeriveOptions.
+// option slice of the cache key. TimeoutMS and the artifact selectors are
+// deliberately absent; see DeriveOptions.
 func (o DeriveOptions) keyedOptions() string {
 	return fmt.Sprintf("omitvac=%t safety=%t maxstates=%d minenv=%t prune=%t minimize=%t",
 		o.OmitVacuous, o.SafetyOnly, o.MaxStates, o.MinimizeEnv, o.Prune, o.Minimize)

@@ -43,7 +43,6 @@ func TestCacheKeyExcludesNonSemanticOptions(t *testing.T) {
 	}
 	// Non-semantic knobs must not fragment the address.
 	for name, o := range map[string]DeriveOptions{
-		"workers":  {Workers: 7},
 		"timeout":  {TimeoutMS: 1234},
 		"renderer": {IncludeDOT: true, IncludeGo: true, GoPackage: "x"},
 	} {

@@ -12,11 +12,12 @@
 // on open topologies (rings) while the final reachable set stays small.
 //
 // State ids are assigned in demand order, so they depend on which consumer
-// asked first — under a parallel deriver that is scheduling-dependent. The
-// ids are private renamings of the same product, and everything the engine
-// emits (converter structure, pair sets as sets, expansion counts) is
-// invariant under renaming; only the raw ids themselves are not stable
-// across runs.
+// asked first: the deriver's closure engine and merge batch size change the
+// order, and concurrent callers of one Lazy race for it. The ids are
+// private renamings of the same product, and everything the engine emits
+// (converter structure, pair sets as sets, expansion counts) is invariant
+// under renaming; only the raw ids themselves are not stable across
+// consumers.
 package compose
 
 import (

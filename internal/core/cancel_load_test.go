@@ -56,7 +56,7 @@ func TestDeriveContextCancelMidProgressUnderLoad(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var seen atomic.Int32
-			opts := Options{Workers: 2, Trace: func(ev TraceEvent) {
+			opts := Options{Trace: func(ev TraceEvent) {
 				if ev.Phase == "progress" && int(seen.Add(1)) == i+1 {
 					cancel()
 				}
@@ -70,7 +70,7 @@ func TestDeriveContextCancelMidProgressUnderLoad(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			res, err := DeriveContext(context.Background(), f.Service, b, Options{Workers: 2})
+			res, err := DeriveContext(context.Background(), f.Service, b, Options{})
 			if err != nil || res.Converter.Format() != refText {
 				t.Errorf("clean run perturbed by concurrent cancellations: err=%v", err)
 				cleanMismatch.Add(1)

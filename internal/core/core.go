@@ -33,11 +33,11 @@
 //     (intern.go): one canonical ID per distinct set, and the ID doubles as
 //     the converter state index. Set operations cost O(set size), not
 //     O(domain), and the domain need not be known up front.
-//   - Frontier expansion is level-synchronous and optionally parallel
-//     (parallel.go): Options.Workers goroutines compute φ(J, e) for the
-//     whole frontier, and a single-threaded merge interns the results in
-//     frontier order, so the derived converter — state numbering included —
-//     is bit-identical for every worker count.
+//   - Frontier expansion is level-synchronous and batched (expand.go):
+//     φ(J, e) is computed for a batch of frontier states, then a merge
+//     interns the results in frontier order, so the derived converter —
+//     state numbering included — matches a plain worklist run. The phase
+//     is single-threaded (expand.go says why).
 //   - The environment may be demand-driven (*compose.Lazy): the safety
 //     phase's closure walk is what first expands each composite state of B,
 //     so derivation cost tracks the reachable slice of the product rather
@@ -127,20 +127,10 @@ type Options struct {
 	// derivation. Environments that are neither *spec.Spec nor
 	// *compose.Lazy are left untouched.
 	MinimizeComponents bool
-	// Workers is the number of goroutines expanding each safety-phase
-	// frontier; 0 and 1 both mean single-threaded. The expansion is
-	// level-synchronous with a deterministic merge, so the result is
-	// bit-identical (state numbering included) for every worker count.
+	// Workers has no effect: the derivation is single-threaded.
+	//
+	// Deprecated: ignored.
 	Workers int
-	// InternShards is the hash shard count of the safety phase's pair-set
-	// intern table; the merge gives each shard to one goroutine, so this
-	// bounds merge parallelism the way Workers bounds expansion
-	// parallelism. 0 picks a power of two matching Workers; other values
-	// round up to the next power of two (capped at 64). Sharding changes
-	// only how the merge parallelizes: a deterministic renumbering pass
-	// keeps the derived converter — state numbering included —
-	// bit-identical at every shard count.
-	InternShards int
 	// Trace, when non-nil, receives structured derivation events: frontier
 	// levels during the safety phase, per-state removals and sweep
 	// summaries during the progress phase. Events carrying a non-empty
@@ -182,7 +172,7 @@ type Stats struct {
 	FinalStates      int
 	FinalTransitions int
 	// Metrics is the engine-level observability layer: per-phase wall
-	// times, interning hit rate, frontier shape, worker count.
+	// times, interning hit rate, frontier shape.
 	Metrics Metrics
 }
 
@@ -239,20 +229,18 @@ type bedge = compose.Edge
 
 // deriver carries the immutable inputs and the precomputed dense tables of
 // one run. Everything set up by prepare is read-only during the safety
-// phase, so expansion workers share it freely; the intern table is written
-// only on the single-threaded merge path. (Under a demand-driven
-// environment, rowsOf may expand composite states concurrently; that
-// mutation is owned and synchronized by compose.Lazy.)
+// phase; the intern table and the closure memo are written only by the
+// merge. (Under a demand-driven environment, rowsOf expands composite
+// states on first touch; that mutation is owned by compose.Lazy.)
 type deriver struct {
-	ctx     context.Context
-	a       *spec.Spec
-	bs      []Environment       // environment variants; len 1 for plain Derive
-	lazy    demandEnvironment   // non-nil iff the single variant is demand-driven
-	ext     map[spec.Event]bool // Ext = Σ_A
-	intl    []spec.Event        // Int = Σ_B − Ext, sorted
-	opts    Options
-	workers int
-	trace   func(TraceEvent)
+	ctx   context.Context
+	a     *spec.Spec
+	bs    []Environment       // environment variants; len 1 for plain Derive
+	lazy  demandEnvironment   // non-nil iff the single variant is demand-driven
+	ext   map[spec.Event]bool // Ext = Σ_A
+	intl  []spec.Event        // Int = Σ_B − Ext, sorted
+	opts  Options
+	trace func(TraceEvent)
 
 	// Dense tables over Σ_B and the pair domain. A pair (v, a, b) is
 	// encoded pb-major as (boff[v]+b)*numA + a: packed-b-major order makes
@@ -279,15 +267,13 @@ type deriver struct {
 	psiBit  []uint64
 	badA    []uint64
 
-	nshards   int
 	table     *internTable
 	memo      *seedMemo
 	succArena *int32Arena
 	states    []cstate
 	met       *Metrics
 	prog      *progTables // progress-phase memo tables; nil until that phase
-
-	scratches []*scratch // persistent per-worker arenas
+	sc        *scratch    // safety-phase walk state and per-batch arena
 }
 
 // cState is a converter state under construction. Its pair set is
@@ -408,10 +394,6 @@ func DeriveEnvsContext(ctx context.Context, a *spec.Spec, bs []Environment, opts
 		return nil, fmt.Errorf("quotient: Int = Σ_B − Ext is empty; B leaves no interface for a converter")
 	}
 	d := &deriver{ctx: ctx, a: a, bs: bs, lazy: lazyEnv, ext: ext, intl: intl, opts: opts}
-	d.workers = opts.Workers
-	if d.workers < 1 {
-		d.workers = 1
-	}
 	d.trace = opts.Trace
 	d.prepare()
 	return d.run()
@@ -538,28 +520,10 @@ func (d *deriver) prepare() {
 			}
 		}
 	}
-	d.nshards = resolveInternShards(d.opts.InternShards, d.workers)
-	d.table = newInternTable(d.nshards)
+	d.table = newInternTable()
 	d.memo = newSeedMemo()
 	d.succArena = newInt32Arena()
-}
-
-// resolveInternShards maps the InternShards option to an effective shard
-// count: a power of two (internTable masks the hash) in [1, 64], matching
-// Workers when unset — one shard per merge goroutine.
-func resolveInternShards(req, workers int) int {
-	n := req
-	if n <= 0 {
-		n = workers
-	}
-	if n > 64 {
-		n = 64
-	}
-	p := 1
-	for p < n {
-		p *= 2
-	}
-	return p
+	d.sc = newScratch(d)
 }
 
 // encode maps a (variant, a, b) triple to its pair-domain index
@@ -600,7 +564,6 @@ func (d *deriver) rowsOf(v int, b int32) ([]bedge, []int32) {
 func (d *deriver) run() (*Result, error) {
 	res := &Result{}
 	d.met = &res.Stats.Metrics
-	d.met.Workers = d.workers
 
 	// ---- Safety phase (paper Fig. 5) ----
 	t0 := time.Now()
@@ -676,9 +639,8 @@ func (d *deriver) run() (*Result, error) {
 				}
 				pairs = append(pairs, [2]string{d.a.StateName(spec.State(a)), bName})
 			})
-			// Sort by name so the diagnostic is stable even when b-state
-			// ids are demand-order (scheduling-dependent under a parallel
-			// lazy derivation).
+			// Sort by name so the diagnostic does not depend on b-state
+			// ids, which are demand order under a lazy environment.
 			sort.Slice(pairs, func(i, j int) bool {
 				if pairs[i][0] != pairs[j][0] {
 					return pairs[i][0] < pairs[j][0]
@@ -695,23 +657,17 @@ func (d *deriver) run() (*Result, error) {
 
 // fillSafetyMetrics records the safety phase's interning, memoization, and
 // arena accounting. PairArenaBytes covers the storage that persists for the
-// derivation — shard arenas, the closure-memo arena, the successor rows —
-// and deliberately excludes the per-worker scratch arenas, which are
-// transient (reset every merge batch) and whose footprint would vary with
-// the worker count while this figure is deterministic for a given input.
+// derivation — the intern-table arena, the closure-memo arena, the
+// successor rows — and excludes the scratch arena, which is transient
+// (reset every merge batch).
 func (d *deriver) fillSafetyMetrics() {
-	d.met.InternLookups, d.met.InternHits = d.table.counts()
-	d.met.InternShards = d.nshards
-	d.met.PairArenaBytes = d.table.bytes() + d.memo.bytes() + d.succArena.reserved
-	d.met.ClosureMemoHits = 0
-	for _, sc := range d.scratches {
-		d.met.ClosureMemoHits += sc.memoHits
-		// A memo hit resolving to a state is "φ produced a set already
-		// seen" — fold it into the intern counters so they keep the exact
-		// values the memo-less engine reported (see scratch.memoOK).
-		d.met.InternLookups += sc.memoOK
-		d.met.InternHits += sc.memoOK
-	}
+	// A memo hit resolving to a state is "φ produced a set already seen" —
+	// fold it into the intern counters so they keep the exact values the
+	// memo-less engine reported (see scratch.memoOK).
+	d.met.InternLookups = d.table.lookups + d.sc.memoOK
+	d.met.InternHits = d.table.hits + d.sc.memoOK
+	d.met.PairArenaBytes = d.table.arena.reserved + d.memo.bytes() + d.succArena.reserved
+	d.met.ClosureMemoHits = d.sc.memoHits
 }
 
 // fillEnvMetrics records how much of the environment the derivation
@@ -741,12 +697,11 @@ func (d *deriver) fillEnvMetrics() {
 
 // safetyPhase grows the largest safe converter C0 by level-synchronous
 // frontier expansion. Each level is processed in merge batches of
-// safetyMergeBatch states: a batch's φ results are computed (in parallel
-// when Options.Workers > 1), interned into the sharded table (one goroutine
-// per shard), and renumbered in frontier order by mergeBatch — which
-// reproduces exactly the state numbering of a plain worklist run, so the
-// converter is bit-identical at every worker count, shard count, and batch
-// size. Batching also bounds the MaxStates overshoot: the cap is checked
+// safetyMergeBatch states: a batch's φ results are computed, then interned
+// in frontier order by mergeBatch — which reproduces exactly the state
+// numbering of a plain worklist run, so the converter is bit-identical at
+// every batch size. Batching also bounds the MaxStates overshoot: the cap
+// is checked
 // after every batch, so a single huge frontier level can no longer run
 // arbitrarily far past the configured limit before the abort fires.
 func (d *deriver) safetyPhase() error {
@@ -754,8 +709,7 @@ func (d *deriver) safetyPhase() error {
 	for v, b := range d.bs {
 		seeds[v] = d.encode(v, int32(d.a.Init()), int32(b.Init()))
 	}
-	sc0 := d.getScratch(0)
-	h0, ok, _ := d.closure(sc0, seeds)
+	h0, ok, _ := d.closure(d.sc, seeds)
 	if !ok {
 		// The closure aborted at the first violation; the witness search
 		// re-walks the same ball breadth-first for a shortest offending run.
@@ -765,8 +719,8 @@ func (d *deriver) safetyPhase() error {
 			WitnessTrace: d.safetyWitness(seeds),
 		}
 	}
-	d.table.internCanonical(h0, h0.hash()) // ID 0 = initial state
-	sc0.arena.reset()                      // h0 now lives in shard storage
+	d.table.intern(h0, h0.hash()) // ID 0 = initial state
+	d.sc.arena.reset()            // h0 now lives in intern-table storage
 	d.states = append(d.states, cstate{})
 
 	ne := len(d.intl)
@@ -792,9 +746,7 @@ func (d *deriver) safetyPhase() error {
 			res := results[:(bhi-blo)*ne]
 			d.expandBatch(blo, bhi, res)
 			d.mergeBatch(blo, bhi, res)
-			for _, sc := range d.scratches {
-				sc.arena.reset() // surviving sets were copied into shard/memo storage
-			}
+			d.sc.arena.reset() // surviving sets were copied into intern/memo storage
 			if d.opts.MaxStates > 0 && len(d.states) > d.opts.MaxStates {
 				return fmt.Errorf("quotient: safety phase exceeded MaxStates=%d (aborted at %d states)",
 					d.opts.MaxStates, len(d.states))
@@ -806,50 +758,17 @@ func (d *deriver) safetyPhase() error {
 }
 
 // mergeBatch interns one batch of φ results and assigns canonical state
-// IDs, in two passes.
-//
-// M1 (parallel): every shard walks the whole result slice and claims the
-// results whose set hashes into it — probing its buckets and, on a miss,
-// copying the set into its arena as an unnumbered entry. A shard is touched
-// by exactly one goroutine, so shard state needs no locks; a claiming
-// goroutine writes only the .entry field of results it claimed, so result
-// writes are disjoint too.
-//
-// M2 (sequential): a single renumbering walk over the results in frontier
-// (state, Int-event) order assigns the next canonical ID to each entry at
-// its first occurrence. First-occurrence-in-frontier-order is precisely the
-// discovery order of the sequential worklist engine, which is what makes
-// the numbering — and everything downstream of it — independent of worker
-// and shard counts. M2 also records each computed closure in the seed memo
-// (successor ID, or memoFail for an ok.J failure), the only memo write
-// path; workers read the memo lock-free during expansion because merges and
-// expansions never overlap.
+// IDs in one walk over the results in frontier (state, Int-event) order:
+// each set is found in the intern table or added under the next ID at its
+// first occurrence. First occurrence in frontier order is precisely the
+// discovery order of the plain worklist engine, so the numbering — and
+// everything downstream of it — does not depend on the batch size. The
+// walk also records each computed closure in the seed memo (successor ID,
+// or memoFail for an ok.J failure); that is the memo's only write path, so
+// a closure computed in this batch is first reused by the next one.
 func (d *deriver) mergeBatch(lo, hi int, results []phiResult) {
 	ne := len(d.intl)
 	omit := d.opts.OmitVacuous
-	runSharded(d.nshards, d.workers, func(shard int) {
-		s := &d.table.shards[shard]
-		for i := range results {
-			r := &results[i]
-			if !r.ok || r.memoGID >= 0 || (r.set == nil && omit) {
-				continue // omitted transition, memoized, or omitted vacuous
-			}
-			if d.table.shardOf(r.hash) != shard {
-				continue
-			}
-			set := r.set
-			if set == nil {
-				set = pairset{} // vacuous successor, kept: the empty set
-			}
-			s.lookups++
-			if e, ok := s.find(set, r.hash); ok {
-				s.hits++
-				r.entry = e
-			} else {
-				r.entry = s.add(set, r.hash)
-			}
-		}
-	})
 	i := 0
 	for si := lo; si < hi; si++ {
 		succ := d.succArena.alloc(ne)
@@ -872,16 +791,13 @@ func (d *deriver) mergeBatch(lo, hi int, results []phiResult) {
 			if r.set == nil && omit {
 				continue // vacuously safe: no trace of B matches
 			}
-			s := &d.table.shards[d.table.shardOf(r.hash)]
-			e := &s.entries[r.entry]
-			if e.gid < 0 {
-				e.gid = int32(len(d.table.byGID))
-				d.table.byGID = append(d.table.byGID, e.set)
+			id, hit := d.table.intern(r.set, r.hash)
+			if !hit {
 				d.states = append(d.states, cstate{})
 			}
-			succ[ei] = e.gid
+			succ[ei] = id
 			if r.seedSet != nil {
-				d.memo.put(r.seedSet, r.seedHash, e.gid)
+				d.memo.put(r.seedSet, r.seedHash, id)
 			}
 		}
 		d.states[si].succ = succ

@@ -59,14 +59,12 @@ func goldenEmitSystems(t *testing.T) []emitSystem {
 // converter listing (state numbering included), its hash, and the counts
 // Stats reports for it, plus the verdict and error. It also reports
 // whether a converter was emitted.
-func emitOutcome(sys emitSystem, workers int) (string, bool) {
+func emitOutcome(sys emitSystem) (string, bool) {
 	env, err := sys.env()
 	if err != nil {
 		return "env: " + err.Error(), false
 	}
-	opts := sys.opts
-	opts.Workers = workers
-	res, err := core.DeriveEnv(sys.a, env, opts)
+	res, err := core.DeriveEnv(sys.a, env, sys.opts)
 	out := fmt.Sprintf("err: %v\n", err)
 	if res == nil {
 		return out, false
@@ -80,9 +78,8 @@ func emitOutcome(sys emitSystem, workers int) (string, bool) {
 }
 
 // TestEmitterMatchesBuilderReference is the emitter differential: on the
-// golden systems and 250 protosmith systems, at workers 1 and 2, the
-// integer emitter must produce byte-identical output to the Builder+Trim
-// emission it replaced.
+// golden systems and 250 protosmith systems, the integer emitter must
+// produce byte-identical output to the Builder+Trim emission it replaced.
 func TestEmitterMatchesBuilderReference(t *testing.T) {
 	systems := goldenEmitSystems(t)
 	for seed := int64(1); seed <= 250; seed++ {
@@ -98,18 +95,16 @@ func TestEmitterMatchesBuilderReference(t *testing.T) {
 	}
 	converters := 0
 	for _, sys := range systems {
-		for _, workers := range []int{1, 2} {
-			got, emitted := emitOutcome(sys, workers)
-			restore := core.UseReferenceEmitter()
-			want, _ := emitOutcome(sys, workers)
-			restore()
-			if got != want {
-				t.Fatalf("%s workers=%d: emitter diverges from the Builder reference:\n%s\n--- reference ---\n%s",
-					sys.name, workers, got, want)
-			}
-			if emitted && workers == 1 {
-				converters++
-			}
+		got, emitted := emitOutcome(sys)
+		restore := core.UseReferenceEmitter()
+		want, _ := emitOutcome(sys)
+		restore()
+		if got != want {
+			t.Fatalf("%s: emitter diverges from the Builder reference:\n%s\n--- reference ---\n%s",
+				sys.name, got, want)
+		}
+		if emitted {
+			converters++
 		}
 	}
 	// The corpus must actually exercise emission, not just verdicts.

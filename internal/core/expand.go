@@ -1,25 +1,29 @@
-// Batched, optionally parallel safety-phase expansion.
+// Batched safety-phase expansion.
 //
 // The seed engine's safety loop was a FIFO worklist: process state i,
 // append its newly discovered successors, advance. Processing states in
 // index order with append-on-discovery is exactly breadth-first search, so
-// the same construction can run level by level — and, within a level, merge
+// the same construction runs level by level — and, within a level, merge
 // batch by merge batch: a fixed-size slice of the frontier has its φ(J, e)
-// results computed (this file — the concurrent part), then mergeBatch
-// (core.go) interns the results and assigns canonical IDs in (state index,
-// Int-event index) order. Discovery order, and therefore state numbering,
-// transition structure, and every downstream artifact, match the sequential
-// worklist bit for bit regardless of worker count, shard count, or batch
-// size.
+// results computed (this file), then mergeBatch (core.go) interns the
+// results and assigns canonical IDs in (state index, Int-event index)
+// order. Discovery order, and therefore state numbering, transition
+// structure, and every downstream artifact, match the plain worklist bit
+// for bit regardless of batch size.
 //
-// Workers share the deriver read-only — the spec tables are immutable, and
-// the intern table and closure memo are read-only during expansion (the
-// merge, the sole writer, runs between batches) — with one exception: under
-// a demand-driven environment, rowsPacked may expand a composite state,
-// which serializes inside compose.Lazy. This is the fusion the lazy path is
-// built around: the safety phase's own frontier walk is what drives
-// environment exploration, and only the slice of the product the derivation
-// actually touches is ever built.
+// The batch boundary is what the closure memo and the MaxStates check key
+// on: expansion reads the intern table and closure memo as the previous
+// merge left them, and the merge is their sole writer. Under a
+// demand-driven environment, rowsPacked expands composite states on first
+// touch. This is the fusion the lazy path is built around: the safety
+// phase's own frontier walk is what drives environment exploration, and
+// only the slice of the product the derivation actually touches is ever
+// built.
+//
+// The phase is single-threaded: on a 2-core box a second expansion
+// goroutine with a sharded intern merge lost on ring(7), gained 9% on
+// chain(9) and allocated more on every family (EXPERIMENTS.md, "One
+// safety-phase thread").
 //
 // Two closure engines share the walk structure:
 //
@@ -39,17 +43,15 @@
 // fixpoint and the violation verdict is order-independent — which the
 // differential suites check by forcing the scalar path.
 //
-// Each worker owns a scratch holding the walk state and a per-batch output
-// arena (intern.go): a closure result costs arena space, not a heap
+// The deriver owns one scratch holding the walk state and a per-batch
+// output arena (intern.go): a closure result costs arena space, not a heap
 // allocation, and the arena rewinds after every merge once the surviving
-// sets have been copied into shard storage.
+// sets have been copied into intern-table storage.
 package core
 
 import (
 	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"protoquot/internal/spec"
 )
@@ -62,10 +64,9 @@ var (
 	// safetyMergeBatch is the number of frontier states expanded between
 	// merges. It bounds how far past Options.MaxStates a derivation can run
 	// before the per-batch check fires (by batch × |Int| states) and how
-	// much transient closure output the worker arenas hold at once. It is a
-	// constant of the engine, never derived from the worker count: batch
-	// boundaries are observable through MaxStates abort points, and those
-	// must be bit-identical at every worker count.
+	// much transient closure output the scratch arena holds at once. Batch
+	// boundaries are observable through MaxStates abort points and through
+	// the closure memo's hit counts, so it is a constant of the engine.
 	safetyMergeBatch = 4096
 	// closureMemoEnabled gates the seed-set → closure memo.
 	closureMemoEnabled = true
@@ -88,20 +89,18 @@ var (
 // match any trace reaching it). ok=false means ok.J failed — the transition
 // is omitted. memoGID ≥ 0 means the closure memo already mapped this seed
 // set to a canonical state, and neither the closure nor the intern probe
-// ran. entry is filled during the merge's parallel phase (the shard entry
-// index); set and seedSet point into the producing worker's arena and are
-// valid only until that arena resets after the merge.
+// ran. set and seedSet point into the scratch arena and are valid only
+// until that arena resets after the merge.
 type phiResult struct {
 	set      pairset
 	hash     uint64  // set.hash(); emptyPairsetHash for the vacuous result
 	seedSet  pairset // canonical φ seed set, for the memo; nil if not memoizable
 	seedHash uint64
 	memoGID  int32 // memoized successor state, or -1
-	entry    int32 // shard entry index, assigned by mergeBatch's M1 pass
 	ok       bool
 }
 
-// scratch is the per-worker reusable working set.
+// scratch is the safety phase's reusable working set.
 //
 // dense/dirty implement the scalar closure: dense is a bit vector over the
 // pair domain, only ever cleared word-by-word via the dirty list, so a
@@ -109,13 +108,13 @@ type phiResult struct {
 // (or grows to, under a demand-driven environment). amask/adone/touched are
 // the mask closure's equivalent, indexed by packed-b state: accumulated and
 // processed A-state masks plus a presence bitmap for O(touched) extraction
-// and reset. arena backs every set the worker builds during a batch
-// (closure results and canonical seed sets); it rewinds after each merge.
+// and reset. arena backs every set built during a batch (closure results
+// and canonical seed sets); it rewinds after each merge.
 //
-// There is deliberately no per-worker row cache here. compose.Lazy's read
-// path is a single atomic load against arena-backed rows that never move,
-// so caching slice headers per worker bought nothing but a doubling-copy
-// churn that dominated large-derivation profiles.
+// There is deliberately no row cache here. compose.Lazy's read path is a
+// single atomic load against arena-backed rows that never move, so caching
+// slice headers bought nothing but a doubling-copy churn that dominated
+// large-derivation profiles.
 type scratch struct {
 	stack []int32   // scalar closure DFS stack (pair indices)
 	seeds [][]int32 // scalar φ seed pairs, bucketed by Int-event index
@@ -161,10 +160,10 @@ func newScratch(d *deriver) *scratch {
 	}
 	// pbHint is a lower bound on the packed-b domain the mask arrays will
 	// end up covering: the already-discovered composite state count under a
-	// demand-driven environment (monotonic, racing with expansion is
-	// harmless — any value is a valid hint), the full packed domain under an
-	// eager one. Growing straight to it skips the intermediate doublings a
-	// cold worker would otherwise allocate and immediately outgrow.
+	// demand-driven environment (monotonic, so any value is a valid hint),
+	// the full packed domain under an eager one. Growing straight to it
+	// skips the intermediate doublings a cold scratch would otherwise
+	// allocate and immediately outgrow.
 	sc.pbHint = func() int {
 		if d.lazy != nil {
 			return d.lazy.NumStates()
@@ -175,15 +174,6 @@ func newScratch(d *deriver) *scratch {
 		return 0
 	}
 	return sc
-}
-
-// getScratch returns the persistent working set for worker w, creating it
-// on first use. Called only from the merge path and at worker start-up.
-func (d *deriver) getScratch(w int) *scratch {
-	for len(d.scratches) <= w {
-		d.scratches = append(d.scratches, newScratch(d))
-	}
-	return d.scratches[w]
 }
 
 // setBit records pair p in the scalar scratch, growing the dense array on
@@ -209,7 +199,7 @@ func (sc *scratch) setBit(p int32) bool {
 }
 
 // extract converts the scalar scratch's working set into canonical sparse
-// form in the worker arena and resets the scratch for the next closure.
+// form in the scratch arena and resets the scratch for the next closure.
 func (sc *scratch) extract() pairset {
 	slices.Sort(sc.dirty)
 	out := sc.arena.alloc(2 * len(sc.dirty))
@@ -359,7 +349,7 @@ func (p *stripePacker) flush() int {
 }
 
 // extractMask converts the mask-closure working set into canonical sparse
-// form in the worker arena, clearing the working set as it goes. The arena
+// form in the scratch arena, clearing the working set as it goes. The arena
 // allocation is a safe upper bound (two words per touched packed-b state,
 // capped by the touched span) shrunk to the packed size afterwards.
 func (sc *scratch) extractMask(numA int) pairset {
@@ -391,7 +381,7 @@ func (sc *scratch) extractMask(numA int) pairset {
 }
 
 // packMaskState packs the current mask-closure working set into a
-// canonical pairset in the worker arena without clearing it — the walk can
+// canonical pairset in the scratch arena without clearing it — the walk can
 // continue from the packed state. The mask expansion path uses this for
 // seed-set canonicalization: seeding amask deduplicates and orders the raw
 // (pb, mask) contributions as a side effect, so no sort is needed.
@@ -420,7 +410,7 @@ func (sc *scratch) packMaskState(numA int) pairset {
 }
 
 // packPairs sorts ps in place and packs it (duplicates welcome) into a
-// canonical pairset in the worker arena — the scalar path's seed-set
+// canonical pairset in the scratch arena — the scalar path's seed-set
 // canonicalization.
 func (sc *scratch) packPairs(ps []int32) pairset {
 	slices.Sort(ps)
@@ -605,7 +595,7 @@ func (d *deriver) expandState(sc *scratch, si int, out []phiResult) {
 		}
 	})
 	for ei := range out {
-		out[ei] = phiResult{memoGID: -1, entry: -1}
+		out[ei] = phiResult{memoGID: -1}
 		r := &out[ei]
 		if len(sc.seeds[ei]) == 0 {
 			r.ok = true // vacuous successor
@@ -668,7 +658,7 @@ func (d *deriver) expandStateMask(sc *scratch, si int, out []phiResult) {
 	})
 	flush()
 	for ei := range out {
-		out[ei] = phiResult{memoGID: -1, entry: -1}
+		out[ei] = phiResult{memoGID: -1}
 		r := &out[ei]
 		if len(sc.mseedPbs[ei]) == 0 {
 			r.ok = true // vacuous successor
@@ -704,38 +694,10 @@ func (d *deriver) expandStateMask(sc *scratch, si int, out []phiResult) {
 }
 
 // expandBatch computes φ results for frontier states [lo, hi) into results
-// ((hi-lo)×len(intl) entries, frontier order). Work is distributed by an
-// atomic cursor rather than pre-chunking, since φ cost varies wildly
-// between states.
+// ((hi-lo)×len(intl) entries, frontier order).
 func (d *deriver) expandBatch(lo, hi int, results []phiResult) {
 	ne := len(d.intl)
-	n := hi - lo
-	workers := d.workers
-	if workers > n {
-		workers = n
+	for i := 0; i < hi-lo; i++ {
+		d.expandState(d.sc, lo+i, results[i*ne:(i+1)*ne])
 	}
-	if workers <= 1 {
-		sc := d.getScratch(0)
-		for i := 0; i < n; i++ {
-			d.expandState(sc, lo+i, results[i*ne:(i+1)*ne])
-		}
-		return
-	}
-	var cursor int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		sc := d.getScratch(w)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&cursor, 1)) - 1
-				if i >= n {
-					return
-				}
-				d.expandState(sc, lo+i, results[i*ne:(i+1)*ne])
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -13,12 +13,10 @@
 // append-only uint64 chunks, a published pairset is a slice header into a
 // chunk, and a million sets cost a few hundred chunk allocations.
 //
-// The intern table is hash-sharded. During a merge batch each shard is
-// probed and grown by at most one goroutine (runSharded), so shards
-// need no locking; canonical IDs are NOT assigned by the shards — a
-// deterministic renumbering pass walks the batch's φ results in frontier
-// order and numbers first occurrences, so the converter's state numbering is
-// bit-identical for every worker and shard count (core.go, mergeBatch).
+// The intern table is one hash-consing map from set hash to canonical IDs.
+// IDs are assigned at first intern, and the merge interns a batch's φ
+// results in frontier order, so the converter's state numbering is the
+// discovery order of the plain worklist engine (core.go, mergeBatch).
 //
 // The seed memo (seedMemo) interns φ-step seed sets the same way and maps
 // each seed set to the canonical ID of its closure — or to memoFail when the
@@ -31,8 +29,6 @@ package core
 
 import (
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"protoquot/internal/sat"
 )
@@ -106,14 +102,14 @@ func (ps pairset) forEachUntil(f func(p int32) bool) {
 // hash is the word-parallel mixing hash of sat.HashWords; canonical form
 // makes it a set hash. Deterministic across runs (no seed) so bucket
 // behavior never depends on hash randomization — though no output depends
-// on the hash at all, since IDs come from the renumbering pass.
+// on the hash at all, since IDs come from first-intern order.
 func (ps pairset) hash() uint64 { return sat.HashWords(ps) }
 
 func (ps pairset) equal(o pairset) bool { return sat.WordsEqual(ps, o) }
 
 // emptyPairsetHash is the hash of the zero-length set — the vacuous
-// converter state's pair set — precomputed so vacuous φ results can be
-// routed to their shard without a worker-side hash call.
+// converter state's pair set — precomputed so vacuous φ results need no
+// hash call.
 var emptyPairsetHash = pairset(nil).hash()
 
 // pairArenaChunkWords is the default arena chunk capacity: 1<<13 uint64
@@ -124,9 +120,7 @@ var pairArenaChunkWords = 1 << 13
 
 // pairArena is chunked append-only uint64 storage. Sealed chunks never move
 // or shrink, so placed pairsets remain valid slice headers for the life of
-// the derivation. A single goroutine owns any given arena at any given time
-// (worker scratch arenas during expansion, shard arenas during their shard's
-// merge walk, the memo arena on the sequential renumber path).
+// the derivation.
 type pairArena struct {
 	chunkWords int
 	chunks     [][]uint64
@@ -187,8 +181,8 @@ func (ar *pairArena) place(ps pairset) pairset {
 }
 
 // reset rewinds every chunk to length zero, keeping capacity. Used by the
-// per-worker scratch arenas between merge batches: by then every surviving
-// φ result has been copied into shard or memo storage.
+// scratch arena between merge batches: by then every surviving φ result
+// has been copied into intern-table or memo storage.
 func (ar *pairArena) reset() {
 	for i := range ar.chunks {
 		ar.chunks[i] = ar.chunks[i][:0]
@@ -226,83 +220,35 @@ func (ar *int32Arena) alloc(n int) []int32 {
 	return out
 }
 
-// ientry is one interned set in a shard: the sealed arena-backed set and its
-// canonical ID, -1 until the renumbering pass assigns one. The invariant
-// between merge batches is that every entry has gid ≥ 0: renumbering covers
-// every entry a merge created, because each was created on behalf of at
-// least one φ result the renumber walk visits.
-type ientry struct {
-	set pairset
-	gid int32
-}
-
-// internShard is one hash shard of the intern table: open chaining on the
-// full 64-bit hash, entries and their backing storage owned by the shard.
-// During a merge batch at most one goroutine touches a shard; between
-// batches the sequential paths (initial-state interning, renumbering, get)
-// have exclusive access, so no locking anywhere.
-type internShard struct {
-	buckets map[uint64][]int32
-	entries []ientry
+// internTable hash-conses pairsets: one canonical ID per distinct set, IDs
+// dense in first-intern order (frontier order), doubling as converter state
+// indices. byGID is the ID → set directory every reader (expansion, the
+// progress phase, diagnostics) goes through; the sets live in arena.
+type internTable struct {
+	buckets map[uint64][]int32 // set hash → IDs
+	byGID   []pairset
 	arena   *pairArena
 	lookups int
 	hits    int
 }
 
-// find probes the shard for ps, returning its entry index.
-func (s *internShard) find(ps pairset, h uint64) (int32, bool) {
-	for _, cand := range s.buckets[h] {
-		if s.entries[cand].set.equal(ps) {
+func newInternTable() *internTable {
+	return &internTable{buckets: make(map[uint64][]int32), arena: newPairArena()}
+}
+
+// intern returns ps's canonical ID, copying ps into the arena under the
+// next ID if it is new. hit reports whether the set was already interned.
+func (t *internTable) intern(ps pairset, h uint64) (id int32, hit bool) {
+	t.lookups++
+	for _, cand := range t.buckets[h] {
+		if t.byGID[cand].equal(ps) {
+			t.hits++
 			return cand, true
 		}
 	}
-	return -1, false
-}
-
-// add copies ps into the shard arena and appends an unnumbered entry.
-func (s *internShard) add(ps pairset, h uint64) int32 {
-	e := int32(len(s.entries))
-	s.entries = append(s.entries, ientry{set: s.arena.place(ps), gid: -1})
-	s.buckets[h] = append(s.buckets[h], e)
-	return e
-}
-
-// internTable hash-conses pairsets across its shards: one canonical ID per
-// distinct set, IDs dense in first-intern order (frontier order), doubling
-// as converter state indices. byGID is the ID → set directory every reader
-// (expansion workers, the progress phase, diagnostics) goes through.
-type internTable struct {
-	shards []internShard
-	mask   uint64
-	byGID  []pairset
-}
-
-// newInternTable builds a table with nshards shards; nshards must be a
-// power of two (resolveInternShards guarantees it).
-func newInternTable(nshards int) *internTable {
-	t := &internTable{shards: make([]internShard, nshards), mask: uint64(nshards - 1)}
-	for i := range t.shards {
-		t.shards[i] = internShard{buckets: make(map[uint64][]int32), arena: newPairArena()}
-	}
-	return t
-}
-
-func (t *internTable) shardOf(h uint64) int { return int(h & t.mask) }
-
-// internCanonical is the sequential intern path, used only for the initial
-// state's h.ε set (every other set goes through the batched merge). It
-// assigns the next canonical ID immediately.
-func (t *internTable) internCanonical(ps pairset, h uint64) (id int32, hit bool) {
-	s := &t.shards[t.shardOf(h)]
-	s.lookups++
-	if e, ok := s.find(ps, h); ok {
-		s.hits++
-		return s.entries[e].gid, true
-	}
-	e := s.add(ps, h)
 	id = int32(len(t.byGID))
-	s.entries[e].gid = id
-	t.byGID = append(t.byGID, s.entries[e].set)
+	t.byGID = append(t.byGID, t.arena.place(ps))
+	t.buckets[h] = append(t.buckets[h], id)
 	return id, false
 }
 
@@ -310,66 +256,14 @@ func (t *internTable) internCanonical(ps pairset, h uint64) (id int32, hit bool)
 // mutate it.
 func (t *internTable) get(id int32) pairset { return t.byGID[id] }
 
-// counts aggregates the per-shard probe counters.
-func (t *internTable) counts() (lookups, hits int) {
-	for i := range t.shards {
-		lookups += t.shards[i].lookups
-		hits += t.shards[i].hits
-	}
-	return lookups, hits
-}
-
-// bytes is the total reserved arena storage across shards.
-func (t *internTable) bytes() int64 {
-	var n int64
-	for i := range t.shards {
-		n += t.shards[i].arena.reserved
-	}
-	return n
-}
-
-// runSharded executes f(shard) once for every shard 0..nshards-1, using up
-// to workers goroutines. The safety phase's parallel merge uses it to give
-// each intern-table shard to exactly one goroutine: a shard's maps and
-// arena are then single-owner for the duration, so the merge needs no
-// locks. With workers <= 1 (or a single shard) it degenerates to a plain
-// loop on the caller's goroutine.
-func runSharded(nshards, workers int, f func(shard int)) {
-	if workers > nshards {
-		workers = nshards
-	}
-	if workers <= 1 {
-		for s := 0; s < nshards; s++ {
-			f(s)
-		}
-		return
-	}
-	var cursor int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				s := int(atomic.AddInt64(&cursor, 1)) - 1
-				if s >= nshards {
-					return
-				}
-				f(s)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // memoFail is the seedMemo result recording that the closure of a seed set
 // violates ok.J — the transition is omitted, no state exists.
 const memoFail int32 = -2
 
 // seedMemo interns canonical φ-step seed sets and maps each to the
-// canonical ID of its closure (or memoFail). Written only on the sequential
-// renumbering path of a merge batch; read concurrently by expansion workers
-// during the next batch — the phases never overlap, so no locking. Soundness
+// canonical ID of its closure (or memoFail). Written only by the merge of a
+// batch and read by the expansion of later batches, so a closure computed
+// in a batch is first reused in the next one. Soundness
 // rests on the closure being a pure function of the seed set: the key is
 // the full canonical seed set, and under a demand-driven environment the
 // closure itself forces whatever expansion it needs, so the memoized result

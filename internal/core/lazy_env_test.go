@@ -90,32 +90,34 @@ func TestLazyEnvRejectsMultipleVariants(t *testing.T) {
 
 // TestLazyEnvWorkerInvariance is the core-level counterpart of the golden
 // lazy suites: the derivation outcome over a demand-driven environment is
-// identical at every worker count, even though demand order differs.
+// identical under every safety-phase knob setting, even though the scalar
+// and mask closures, and merge batches of different sizes, expand the
+// environment in different orders.
 func TestLazyEnvWorkerInvariance(t *testing.T) {
 	a, comps := lazyRelaySystem(t)
-	var base string
-	var baseStats Stats
-	for _, w := range []int{1, 2, 4, 7} {
+	derive := func() (string, Stats) {
 		lz, err := compose.LazyMany(comps...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := DeriveEnv(a, lz, Options{Workers: w})
+		res, err := DeriveEnv(a, lz, Options{})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatal(err)
 		}
-		text := res.Converter.Format()
 		stats := res.Stats
 		stats.Metrics = Metrics{} // wall times legitimately differ
-		if w == 1 {
-			base, baseStats = text, stats
-			continue
-		}
-		if text != base {
-			t.Errorf("workers=%d converter differs:\n%s\n--- vs ---\n%s", w, text, base)
-		}
-		if stats != baseStats {
-			t.Errorf("workers=%d stats %+v differ from %+v", w, stats, baseStats)
-		}
+		return res.Converter.Format(), stats
+	}
+	base, baseStats := derive()
+	for _, lg := range safetyLegs() {
+		withSafetyKnobs(lg.chunk, lg.batch, lg.memo, lg.mask, func() {
+			text, stats := derive()
+			if text != base {
+				t.Errorf("leg=%s converter differs:\n%s\n--- vs ---\n%s", lg.name, text, base)
+			}
+			if stats != baseStats {
+				t.Errorf("leg=%s stats %+v differ from %+v", lg.name, stats, baseStats)
+			}
+		})
 	}
 }

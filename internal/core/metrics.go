@@ -10,9 +10,6 @@ import (
 // Stats describes the derived artifact (state and transition counts),
 // Metrics describes the work the engine did producing it.
 type Metrics struct {
-	// Workers is the resolved worker count the safety phase ran with
-	// (Options.Workers, floored at 1).
-	Workers int
 	// SafetyWall / ProgressWall are per-phase wall times; EmitWall is the
 	// wall time of laying the surviving states out as the converter spec.
 	SafetyWall   time.Duration
@@ -24,8 +21,7 @@ type Metrics struct {
 	// SafetyLevels is the number of BFS frontier levels — the converter's
 	// state-graph depth plus one.
 	SafetyLevels int
-	// PeakFrontier is the widest frontier level, an upper bound on how
-	// much parallelism the expansion could exploit.
+	// PeakFrontier is the widest frontier level.
 	PeakFrontier int
 	// InternLookups / InternHits count pair-set interning operations; a
 	// hit means φ produced a set already seen, i.e. an edge to an existing
@@ -66,17 +62,11 @@ type Metrics struct {
 	ArenaBytes   int64
 	PeakRowBytes int64
 	// PairArenaBytes is the safety phase's arena-backed pair-set storage:
-	// bytes reserved by the intern-table shard arenas, the closure-memo
-	// arena, and the converter successor rows. Per-worker scratch arenas
-	// are excluded — they rewind every merge batch, and counting them would
-	// make the figure vary with Workers where this one is deterministic for
-	// a given input. Complements ArenaBytes, which covers the demand-driven
-	// environment's row storage on the compose side.
+	// bytes reserved by the intern-table arena, the closure-memo arena,
+	// and the converter successor rows. The scratch arena is excluded — it
+	// rewinds every merge batch. Complements ArenaBytes, which covers the
+	// demand-driven environment's row storage on the compose side.
 	PairArenaBytes int64
-	// InternShards is the resolved shard count of the safety phase's
-	// pair-set intern table (Options.InternShards after rounding; defaults
-	// to a power of two matching Workers).
-	InternShards int
 	// ClosureMemoHits counts φ-step closures skipped entirely because the
 	// seed set was already mapped to its closure's canonical state (or to a
 	// known ok.J failure) by an earlier expansion.

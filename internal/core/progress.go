@@ -43,8 +43,8 @@
 //     run-sharded parallel scan used to fan this phase over workers; on a
 //     2-core box they never beat one worker (chain(9) progress 1.63 s at
 //     w1 against 3.66 s at w2, with allocations up from 4.6k to 2.1M), so
-//     they were removed (DESIGN §12). Options.Workers parallelizes only the
-//     safety phase.
+//     they were removed (DESIGN §12). The safety phase is single-threaded
+//     too (expand.go).
 //   - Determinism everywhere: each mask is the unique least fixpoint of a
 //     monotone union system, so removal order — and therefore every
 //     downstream artifact — is bit-identical for both sweep paths.

@@ -20,7 +20,7 @@ func deriveOutcome(t *testing.T, a *spec.Spec, bs []*spec.Spec, opts Options) (s
 	if res != nil {
 		exists = res.Exists
 		stats = res.Stats
-		stats.Metrics = Metrics{} // wall times and steal counts legitimately differ
+		stats.Metrics = Metrics{} // wall times legitimately differ
 		if res.Converter != nil {
 			text = res.Converter.Format()
 		}
@@ -30,8 +30,8 @@ func deriveOutcome(t *testing.T, a *spec.Spec, bs []*spec.Spec, opts Options) (s
 
 // assertSweepPathsAgree derives the same system three ways — default path
 // selection, narrow forced (wideColumnLimit = 0), and wide-with-memory-bail
-// (wideMemWords = 0, which exercises the wide path's fallback) — at worker
-// counts 1 and 4, and asserts all six runs are bit-identical.
+// (wideMemWords = 0, which exercises the wide path's fallback) — and
+// asserts all three runs are bit-identical.
 func assertSweepPathsAgree(t *testing.T, a *spec.Spec, bs []*spec.Spec, opts Options) {
 	t.Helper()
 	force := func(cols, words int, f func()) {
@@ -40,25 +40,21 @@ func assertSweepPathsAgree(t *testing.T, a *spec.Spec, bs []*spec.Spec, opts Opt
 		defer func() { wideColumnLimit, wideMemWords = savedCols, savedWords }()
 		f()
 	}
-	for _, w := range []int{1, 4} {
-		o := opts
-		o.Workers = w
-		text, stats, exists, errs := deriveOutcome(t, a, bs, o)
-		force(0, wideMemWords, func() {
-			nt, ns, ne, nerr := deriveOutcome(t, a, bs, o)
-			if nt != text || ns != stats || ne != exists || nerr != errs {
-				t.Errorf("workers=%d: narrow path diverges from default:\n%s\nstats %+v err %q\n--- vs ---\n%s\nstats %+v err %q",
-					w, nt, ns, nerr, text, stats, errs)
-			}
-		})
-		force(wideColumnLimit, 0, func() {
-			nt, ns, ne, nerr := deriveOutcome(t, a, bs, o)
-			if nt != text || ns != stats || ne != exists || nerr != errs {
-				t.Errorf("workers=%d: memory-bail path diverges from default:\n%s\nstats %+v err %q\n--- vs ---\n%s\nstats %+v err %q",
-					w, nt, ns, nerr, text, stats, errs)
-			}
-		})
-	}
+	text, stats, exists, errs := deriveOutcome(t, a, bs, opts)
+	force(0, wideMemWords, func() {
+		nt, ns, ne, nerr := deriveOutcome(t, a, bs, opts)
+		if nt != text || ns != stats || ne != exists || nerr != errs {
+			t.Errorf("narrow path diverges from default:\n%s\nstats %+v err %q\n--- vs ---\n%s\nstats %+v err %q",
+				nt, ns, nerr, text, stats, errs)
+		}
+	})
+	force(wideColumnLimit, 0, func() {
+		nt, ns, ne, nerr := deriveOutcome(t, a, bs, opts)
+		if nt != text || ns != stats || ne != exists || nerr != errs {
+			t.Errorf("memory-bail path diverges from default:\n%s\nstats %+v err %q\n--- vs ---\n%s\nstats %+v err %q",
+				nt, ns, nerr, text, stats, errs)
+		}
+	})
 }
 
 func TestNarrowWideSweepsAgree(t *testing.T) {

@@ -18,9 +18,6 @@ import (
 // CheckOptions tune the differential harness. The zero value picks the
 // defaults used by the smoke gate.
 type CheckOptions struct {
-	// Workers are the worker counts every engine runs at; every run must
-	// produce a bit-identical outcome. Default 1, 2, 4.
-	Workers []int
 	// MaxStates bounds the safety phase (generated systems are untrusted
 	// inputs in exactly core.Options.MaxStates's sense). An aborted
 	// derivation is itself an outcome every engine must reproduce
@@ -43,9 +40,6 @@ type CheckOptions struct {
 }
 
 func (o CheckOptions) normalized() CheckOptions {
-	if len(o.Workers) == 0 {
-		o.Workers = []int{1, 2, 4}
-	}
 	if o.MaxStates == 0 {
 		o.MaxStates = 50000
 	}
@@ -65,7 +59,7 @@ func (o CheckOptions) normalized() CheckOptions {
 // disagreed with the reference outcome. It is an error so harness callers
 // can propagate it directly.
 type Divergence struct {
-	// Leg names the disagreeing check, e.g. "engine:lazy-w4",
+	// Leg names the disagreeing check, e.g. "engine:lazy",
 	// "sat-verify", "oracle-progress", "oracle-safety",
 	// "baseline-okumura", "wellformed".
 	Leg string
@@ -86,8 +80,8 @@ type CheckReport struct {
 	Exists bool
 	// SafetyStates and FinalStates echo the agreed derivation statistics.
 	SafetyStates, FinalStates int
-	// EngineRuns counts derivations performed (engines × worker counts,
-	// plus the duplicated-variant robust leg).
+	// EngineRuns counts derivations performed (the spec and lazy
+	// pipelines, plus the duplicated-variant robust leg).
 	EngineRuns int
 	// OracleProgress and OracleSafetyProbes count the raw-edge oracle
 	// comparisons that ran (they are gated by OracleStateLimit).
@@ -166,44 +160,22 @@ func Check(sys *System, opt CheckOptions) *CheckReport {
 		return diverge("wellformed", "compose: %v", err)
 	}
 
-	// Engine matrix: two pipelines × worker counts, all bit-identical.
+	// Engine matrix: the eager and demand-driven pipelines must agree bit
+	// for bit.
 	base := core.Options{OmitVacuous: true, MaxStates: opt.MaxStates}
-	var ref outcome
-	var refRes *core.Result
-	var refErr error
-	first := true
-	for _, w := range opt.Workers {
-		opts := base
-		opts.Workers = w
-		type leg struct {
-			name string
-			run  func() (*core.Result, error)
+	refRes, refErr := core.Derive(a, b, base)
+	rep.EngineRuns++
+	ref := outcomeOf(refRes, refErr)
+	lazyRes, lazyErr := func() (*core.Result, error) {
+		lz, lerr := compose.LazyMany(sys.Components...)
+		if lerr != nil {
+			return nil, lerr
 		}
-		legs := []leg{
-			{"spec", func() (*core.Result, error) { return core.Derive(a, b, opts) }},
-			{"lazy", func() (*core.Result, error) {
-				lz, lerr := compose.LazyMany(sys.Components...)
-				if lerr != nil {
-					return nil, lerr
-				}
-				return core.DeriveEnv(a, lz, opts)
-			}},
-		}
-		for _, l := range legs {
-			res, rerr := l.run()
-			rep.EngineRuns++
-			got := outcomeOf(res, rerr)
-			if first {
-				ref, refRes, refErr = got, res, rerr
-				first = false
-				continue
-			}
-			if got != ref {
-				return diverge(fmt.Sprintf("engine:%s-w%d", l.name, w),
-					"outcome differs from %s-w%d reference\nref:  %s\ngot:  %s",
-					"spec", opt.Workers[0], ref, got)
-			}
-		}
+		return core.DeriveEnv(a, lz, base)
+	}()
+	rep.EngineRuns++
+	if got := outcomeOf(lazyRes, lazyErr); got != ref {
+		return diverge("engine:lazy", "outcome differs from spec reference\nref:  %s\ngot:  %s", ref, got)
 	}
 
 	// Robust leg: deriving against the same environment listed twice must

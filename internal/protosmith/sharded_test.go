@@ -7,42 +7,31 @@ import (
 	"protoquot/internal/core"
 )
 
-// TestShardedInternAcrossSeeds drives the sharded safety phase through the
-// randomized corpus: 50 generated systems, each derived through the
-// demand-driven pipeline at every shard count × worker count, must
-// reproduce the single-shard single-worker outcome exactly — converter,
-// verdict, stats, and error alike. This is the fuzzed counterpart of
-// core's TestShardedInternDifferential, which covers the same matrix on
-// fixed systems with the engine knobs forced.
+// TestShardedInternAcrossSeeds drives the safety phase's intern table
+// through the randomized corpus: 50 generated systems, each derived through
+// the demand-driven pipeline, must reproduce the eager pipeline's outcome
+// exactly — converter, verdict, stats, and error alike — although the lazy
+// run interns pair sets over composite states numbered in demand order.
+// This is the fuzzed counterpart of core's TestShardedInternDifferential,
+// which forces the engine knobs on fixed systems.
 func TestShardedInternAcrossSeeds(t *testing.T) {
-	const maxStates = 50000
-	derive := func(sys *System, workers, shards int) outcome {
-		lz, err := compose.LazyMany(sys.Components...)
-		if err != nil {
-			return outcome{err: err.Error()}
-		}
-		res, derr := core.DeriveEnv(sys.Service, lz, core.Options{
-			OmitVacuous: true, MaxStates: maxStates,
-			Workers: workers, InternShards: shards,
-		})
-		return outcomeOf(res, derr)
-	}
+	opts := core.Options{OmitVacuous: true, MaxStates: 50000}
 	for seed := int64(1); seed <= 50; seed++ {
 		sys := Generate(seed, DefaultKnobs())
 		if err := sys.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		ref := derive(sys, 1, 1)
-		for _, shards := range []int{1, 2, 8} {
-			for _, workers := range []int{1, 2, 4} {
-				if shards == 1 && workers == 1 {
-					continue
-				}
-				if got := derive(sys, workers, shards); got != ref {
-					t.Errorf("seed %d shards=%d workers=%d diverges:\n%s\n--- vs shards=1 workers=1 ---\n%s",
-						seed, shards, workers, got, ref)
-				}
-			}
+		b, err := compose.Many(sys.Components...)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		lz, err := compose.LazyMany(sys.Components...)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		ref := outcomeOf(core.Derive(sys.Service, b, opts))
+		if got := outcomeOf(core.DeriveEnv(sys.Service, lz, opts)); got != ref {
+			t.Errorf("seed %d: lazy pipeline diverges:\n%s\n--- vs spec pipeline ---\n%s", seed, got, ref)
 		}
 	}
 }

@@ -116,6 +116,27 @@ func TestCacheDiskPersistenceAcrossInstances(t *testing.T) {
 	if _, _, _, dh, _ := c2.Counters(); dh != 1 {
 		t.Errorf("in-memory hit went to disk (diskHits=%d)", dh)
 	}
+
+	// An envelope written before the engine became single-threaded still
+	// carries the removed "workers" and "intern_shards" stats. It must load
+	// as a hit, not count as a corrupt entry.
+	old := hexKey(8)
+	blob := fmt.Sprintf(`{"key":%q,"exists":true,"converter":%q,`+
+		`"stats":{"safety_states":1,"final_states":1,"workers":1,"intern_lookups":1,"intern_shards":1}}`,
+		old, conv)
+	if err := os.WriteFile(filepath.Join(dir, old+".json"), []byte(blob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok = c2.Get(old)
+	if !ok {
+		t.Fatal("envelope with workers/intern_shards stats not served from disk")
+	}
+	if got.Converter != conv || got.Stats == nil || got.Stats.FinalStates != 1 || got.Stats.InternLookups != 1 {
+		t.Errorf("recovered envelope differs: %+v", got)
+	}
+	if _, _, _, diskHits, diskErrors := c2.Counters(); diskHits != 2 || diskErrors != 0 {
+		t.Errorf("diskHits/diskErrors = %d/%d, want 2/0", diskHits, diskErrors)
+	}
 }
 
 func TestCacheCorruptDiskEntryTolerated(t *testing.T) {

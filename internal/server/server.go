@@ -49,10 +49,6 @@ type Config struct {
 	// request must win a slot immediately or be shed.
 	PoolWorkers int
 	MaxQueue    int
-	// EngineWorkers is the default per-derivation safety-phase worker
-	// count (requests may override); default 1. The engine result is
-	// bit-identical for every value, so this is purely a latency knob.
-	EngineWorkers int
 	// CacheEntries bounds the in-memory converter cache; default 1024.
 	// CacheDir, when set, adds write-through disk persistence.
 	CacheEntries int
@@ -79,9 +75,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.MaxQueue == 0 {
 		out.MaxQueue = 64
-	}
-	if out.EngineWorkers <= 0 {
-		out.EngineWorkers = 1
 	}
 	if out.CacheEntries <= 0 {
 		out.CacheEntries = 1024
@@ -295,16 +288,11 @@ func (s *Server) compile(req *api.DeriveRequest) (*compiledRequest, *api.Error) 
 	if s.cfg.MaxStatesCap > 0 && (maxStates == 0 || maxStates > s.cfg.MaxStatesCap) {
 		maxStates = s.cfg.MaxStatesCap
 	}
-	workers := req.Options.Workers
-	if workers <= 0 {
-		workers = s.cfg.EngineWorkers
-	}
 	cr.coreOpts = core.Options{
 		OmitVacuous:        req.Options.OmitVacuous,
 		SafetyOnly:         req.Options.SafetyOnly,
 		MaxStates:          maxStates,
 		MinimizeComponents: req.Options.MinimizeEnv,
-		Workers:            workers,
 	}
 	cr.prune = req.Options.Prune
 	cr.minimize = req.Options.Minimize

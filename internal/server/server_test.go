@@ -333,9 +333,10 @@ func TestSpecUploadAndDeriveByRef(t *testing.T) {
 }
 
 func TestComponentsWorkersShareCacheKey(t *testing.T) {
-	// The engine result is bit-identical for every worker count, so Workers
-	// is excluded from the key: a derivation at the server default warms
-	// the cache for a request asking for more workers.
+	// Clients written against the parallel engine may still send
+	// options.workers. The field is gone from the wire contract: such a
+	// request is accepted, and it is the same derivation — same key, served
+	// from the cache the plain request warmed.
 	_, ts := newTestServer(t, Config{})
 	f := specgen.Chain(2)
 	comps := make([]api.SpecSource, len(f.Components))
@@ -350,16 +351,36 @@ func TestComponentsWorkersShareCacheKey(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %+v", code, first.Error)
 	}
-	req.Options.Workers = 4
-	second, code := postDerive(t, ts.URL, req)
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["options"] = map[string]any{"workers": 4}
+	body, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/derive", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var second api.DeriveResponse
+	if err := json.NewDecoder(resp.Body).Decode(&second); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %+v", resp.StatusCode, second.Error)
 	}
 	if !second.Cached {
-		t.Error("worker count fragments the cache key")
+		t.Error("a workers field fragments the cache key")
 	}
 	if first.Key != second.Key {
-		t.Errorf("keys differ across worker counts: %s vs %s", first.Key, second.Key)
+		t.Errorf("keys differ with and without a workers field: %s vs %s", first.Key, second.Key)
 	}
 }
 
