@@ -722,6 +722,10 @@ func BenchmarkComposeRingLazy(b *testing.B) { benchSaturateLazy(b, specgen.Ring(
 // minutes).
 func BenchmarkComposeRingLazyLarge(b *testing.B) { benchSaturateLazy(b, specgen.Ring(5)) }
 
+// ring(6)'s product is about 2^33.5, past the paged intern array, so every
+// successor lookup of this saturation goes through the hash tier.
+func BenchmarkComposeRingLazyHashed(b *testing.B) { benchSaturateLazy(b, specgen.Ring(6)) }
+
 // benchSaturateLazy composes f's components lazily and expands every
 // reachable composite state.
 func benchSaturateLazy(b *testing.B, f specgen.Family) {

@@ -450,10 +450,16 @@ func startNodes(n int) ([]*node, error) {
 					peers = append(peers, a)
 				}
 			}
+			// A killed in-process shard refuses connections at once, so
+			// the probe timeout only bounds how long a live but busy peer
+			// may take to answer. At the 50 ms default (the interval), a
+			// loaded box under -race evicted live peers; each flap moved
+			// keys to a new owner that derived them a second time.
 			nd.srv.StartCluster(cluster.Config{
 				Self:          nd.addr,
 				Peers:         peers,
 				ProbeInterval: 50 * time.Millisecond,
+				ProbeTimeout:  2 * time.Second,
 			})
 		}
 		nd.serve(lns[i])

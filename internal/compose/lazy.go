@@ -83,7 +83,7 @@ type Lazy struct {
 	expandNs   atomic.Int64
 
 	// mu guards discovery and expansion: the tuple intern, the tuple
-	// arena, the row arenas, the lazily materialized names, and the
+	// arena, the row arenas, the names StateName has materialized, and the
 	// scratch buffers.
 	mu      sync.Mutex
 	tuples  []int32
@@ -93,7 +93,7 @@ type Lazy struct {
 	succBuf []int32
 	extBuf  []Edge // expansion staging; published rows are arena sub-slices
 	intlBuf []int32
-	names   []string
+	names   map[int32]string
 }
 
 // LazyMany builds the demand-driven composition of the components. Like
@@ -120,6 +120,7 @@ func LazyMany(components ...*spec.Spec) (*Lazy, error) {
 		eventSet: make(map[spec.Event]struct{}, len(tb.external)),
 		ti:       newTupleIntern(tb, numStates),
 		succBuf:  make([]int32, len(components)),
+		names:    make(map[int32]string),
 	}
 	for _, e := range tb.external {
 		x.eventSet[e] = struct{}{}
@@ -158,32 +159,65 @@ func MustLazyMany(components ...*spec.Spec) *Lazy {
 // component tuple, discovering (and allocating a row slot for) it if new.
 // Caller holds mu.
 func (x *Lazy) internLocked(tuple []int32) int32 {
-	id, isNew := x.ti.intern(tuple, int32(len(x.tuples)/x.k))
+	next := int32(len(x.tuples) / x.k)
+	var id int32
+	var isNew bool
+	if x.ti.radixOK {
+		id, isNew = x.ti.internKey(x.ti.key(tuple), next)
+	} else {
+		id, isNew = x.ti.internTuple(tuple, next)
+	}
 	if isNew {
 		x.addLocked(tuple)
 	}
 	return id
 }
 
+// succLocked returns the id of tuple's successor with component ci moved to
+// to and, for a synchronized step (cj >= 0), component cj moved to toj. On
+// the radix tiers base is tuple's key, and the successor's key differs from
+// it by (to − tuple[ci])·strides[ci] per moved component, so a known
+// successor costs no tuple copy and no k-term key. Caller holds mu.
+func (x *Lazy) succLocked(tuple []int32, base uint64, ci int, to int32, cj int, toj int32) int32 {
+	if !x.ti.radixOK {
+		return x.internLocked(x.succTuple(tuple, ci, to, cj, toj))
+	}
+	// Each term is taken mod 2^64; the sum is the successor's key, which
+	// lies in [0, product), whatever the signs of the moves.
+	key := base + uint64(int64(to-tuple[ci]))*x.ti.strides[ci]
+	if cj >= 0 {
+		key += uint64(int64(toj-tuple[cj])) * x.ti.strides[cj]
+	}
+	id, isNew := x.ti.internKey(key, int32(len(x.tuples)/x.k))
+	if isNew {
+		x.addLocked(x.succTuple(tuple, ci, to, cj, toj))
+	}
+	return id
+}
+
+// succTuple writes the successor tuple succLocked describes into succBuf.
+func (x *Lazy) succTuple(tuple []int32, ci int, to int32, cj int, toj int32) []int32 {
+	copy(x.succBuf, tuple)
+	x.succBuf[ci] = to
+	if cj >= 0 {
+		x.succBuf[cj] = toj
+	}
+	return x.succBuf
+}
+
 func (x *Lazy) addLocked(tuple []int32) {
 	id := int32(len(x.tuples) / x.k)
-	// Grow the tuple spine and name table by explicit doubling: append's
-	// ~1.25× growth curve for large slices costs ~5× the final size in
-	// cumulative allocation, and at a million discovered states these two
-	// slices dominate the composition's alloc_bytes. Readers that captured
-	// a sub-slice keep the old backing array, exactly as under append.
+	// Grow the tuple spine by explicit doubling: append's ~1.25× growth
+	// curve for large slices costs ~5× the final size in cumulative
+	// allocation, and at a million discovered states the spine dominates
+	// the composition's alloc_bytes. Readers that captured a sub-slice keep
+	// the old backing array, exactly as under append.
 	if need := len(x.tuples) + x.k; need > cap(x.tuples) {
 		grown := make([]int32, len(x.tuples), max(2*cap(x.tuples), need, 256*x.k))
 		copy(grown, x.tuples)
 		x.tuples = grown
 	}
 	x.tuples = append(x.tuples, tuple...)
-	if len(x.names) == cap(x.names) {
-		grown := make([]string, len(x.names), max(2*cap(x.names), 256))
-		copy(grown, x.names)
-		x.names = grown
-	}
-	x.names = append(x.names, "")
 	cur := *x.dir.Load()
 	if need := (int(id) >> lazyPageShift) + 1; need > len(cur) {
 		grown := make([]*lazyPage, need)
@@ -234,22 +268,21 @@ func (x *Lazy) expand(st int32) ([]Edge, []int32) {
 	// (reallocate) x.tuples, but the captured backing array keeps st's
 	// values, which never change.
 	tuple := x.tuples[int(st)*x.k : int(st)*x.k+x.k]
+	var base uint64
+	if x.ti.radixOK {
+		base = x.ti.key(tuple)
+	}
 	ext := x.extBuf[:0]
 	intl := x.intlBuf[:0]
-	step := func(ci int, to int32) int32 {
-		copy(x.succBuf, tuple)
-		x.succBuf[ci] = to
-		return x.internLocked(x.succBuf)
-	}
 	tb := x.tb
 	for ci := range x.comps {
 		for _, t := range tb.cintl[ci][tuple[ci]] {
-			intl = append(intl, step(ci, t))
+			intl = append(intl, x.succLocked(tuple, base, ci, t, -1, 0))
 		}
 		for _, ed := range tb.cext[ci][tuple[ci]] {
 			pj := tb.partner[ci][ed.ev]
 			if pj < 0 {
-				q := step(ci, ed.to)
+				q := x.succLocked(tuple, base, ci, ed.to, -1, 0)
 				ext = append(ext, Edge{Ev: tb.extIdx[ed.ev], To: q})
 				continue
 			}
@@ -260,9 +293,7 @@ func (x *Lazy) expand(st int32) ([]Edge, []int32) {
 				if bd.ev != ed.ev {
 					continue
 				}
-				copy(x.succBuf, tuple)
-				x.succBuf[ci], x.succBuf[pj] = ed.to, bd.to
-				intl = append(intl, x.internLocked(x.succBuf))
+				intl = append(intl, x.succLocked(tuple, base, ci, ed.to, int(pj), bd.to))
 			}
 		}
 	}
@@ -389,11 +420,13 @@ func (x *Lazy) IntEdges(st spec.State) []spec.State {
 // caller must not modify it.
 func (x *Lazy) Components() []*spec.Spec { return x.comps }
 
-// StateName materializes st's composite name ("a|b|c"), caching it.
+// StateName materializes st's composite name ("a|b|c"), caching it. Only
+// named states pay for a cache entry: a derivation names just the states
+// its diagnostics print, however many composite states it discovers.
 func (x *Lazy) StateName(st spec.State) string {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if n := x.names[st]; n != "" {
+	if n, ok := x.names[int32(st)]; ok {
 		return n
 	}
 	tuple := x.tuples[int(st)*x.k : int(st)*x.k+x.k]
@@ -404,8 +437,9 @@ func (x *Lazy) StateName(st spec.State) string {
 		}
 		buf = append(buf, c.StateName(spec.State(tuple[ci]))...)
 	}
-	x.names[st] = string(buf)
-	return x.names[st]
+	n := string(buf)
+	x.names[int32(st)] = n
+	return n
 }
 
 // Spec saturates the product (expanding every reachable state) and

@@ -125,7 +125,7 @@ func TestPagedInternAboveOldDenseLimit(t *testing.T) {
 		for i := range tuple {
 			tuple[i] = int32((trial * (i + 3)) % 4)
 		}
-		id, isNew := ti.intern(tuple, next)
+		id, isNew := ti.internKey(ti.key(tuple), next)
 		if isNew {
 			if seen[id] {
 				t.Fatalf("trial %d: new tuple assigned already-used id %d", trial, id)
@@ -135,7 +135,7 @@ func TestPagedInternAboveOldDenseLimit(t *testing.T) {
 		}
 		// Re-interning the same tuple must return the same id without
 		// claiming a new one.
-		id2, isNew2 := ti.intern(tuple, next)
+		id2, isNew2 := ti.internKey(ti.key(tuple), next)
 		if isNew2 || id2 != id {
 			t.Fatalf("trial %d: re-intern gave (id=%d, new=%v), want (%d, false)", trial, id2, isNew2, id)
 		}
@@ -148,5 +148,71 @@ func TestPagedInternAboveOldDenseLimit(t *testing.T) {
 	}
 	if touched == 0 || touched == len(ti.pages) {
 		t.Fatalf("touched %d of %d pages; want a proper subset (pages allocate on demand)", touched, len(ti.pages))
+	}
+}
+
+// tokenChain builds n three-state components that pass one token down a
+// chain: component i idles in "i", takes the token from its left neighbor
+// on pass<i-1>, sees its private look<i> while holding it, moves internally
+// from "h" to "w", and hands the token right on pass<i> (the last one
+// signals done instead). Only 2n+1 composite states are reachable, while
+// the product is 3^n, so the chain reaches any intern tier cheaply — and
+// so does the left fold Many, whose prefixes stay as small.
+func tokenChain(t *testing.T, n int) []*spec.Spec {
+	t.Helper()
+	comps := make([]*spec.Spec, n)
+	for i := range comps {
+		b := spec.NewBuilder(fmt.Sprintf("t%d", i))
+		// Declared so idle is the highest state index: handing the token
+		// on moves one component's digit up and the other's down.
+		b.State("h")
+		b.State("w")
+		b.State("i")
+		if i == 0 {
+			b.Init("h")
+		} else {
+			b.Init("i")
+			b.Ext("i", spec.Event(fmt.Sprintf("pass%d", i-1)), "h")
+		}
+		b.Ext("h", spec.Event(fmt.Sprintf("look%d", i)), "h")
+		b.Int("h", "w")
+		if i < n-1 {
+			b.Ext("w", spec.Event(fmt.Sprintf("pass%d", i)), "i")
+		} else {
+			b.Ext("w", "done", "i")
+		}
+		s, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		comps[i] = s
+	}
+	return comps
+}
+
+// TestLazyMatchesManyHashTier checks the open-addressing tier against the
+// left fold: 3^19 > 2^30 puts the product past the paged array, and every
+// successor key comes from its parent's key plus one or two digit moves.
+func TestLazyMatchesManyHashTier(t *testing.T) {
+	comps := tokenChain(t, 19)
+	lz := assertLazyMatchesMany(t, comps...)
+	if !lz.ti.radixOK || lz.ti.pages != nil {
+		t.Fatalf("radixOK=%v paged=%v for a 3^19 product, want the hash tier", lz.ti.radixOK, lz.ti.pages != nil)
+	}
+	if got := lz.ti.hashed.Len(); got != 2*19+1 || got != lz.NumStates() {
+		t.Fatalf("hash tier holds %d keys for %d states, want %d", got, lz.NumStates(), 2*19+1)
+	}
+}
+
+// TestLazyMatchesManyStringTier is the same check past uint64: 3^41 > 2^64
+// leaves only the string keys.
+func TestLazyMatchesManyStringTier(t *testing.T) {
+	comps := tokenChain(t, 41)
+	lz := assertLazyMatchesMany(t, comps...)
+	if lz.ti.radixOK {
+		t.Fatalf("radixOK = true for a 3^41 product, want the string tier")
+	}
+	if got := len(lz.ti.seenS); got != 2*41+1 {
+		t.Fatalf("string tier holds %d keys, want %d", got, 2*41+1)
 	}
 }

@@ -13,8 +13,9 @@
 // append-only uint64 chunks, a published pairset is a slice header into a
 // chunk, and a million sets cost a few hundred chunk allocations.
 //
-// The intern table is one hash-consing map from set hash to canonical IDs.
-// IDs are assigned at first intern, and the merge interns a batch's φ
+// The intern table hash-conses sets through an idindex.Index from set hash
+// to canonical IDs, with pairset equality telling apart distinct sets that
+// share a hash. IDs are assigned at first intern, and the merge interns a batch's φ
 // results in frontier order, so the converter's state numbering is the
 // discovery order of the plain worklist engine (core.go, mergeBatch).
 //
@@ -30,6 +31,7 @@ package core
 import (
 	"math/bits"
 
+	"protoquot/internal/idindex"
 	"protoquot/internal/sat"
 )
 
@@ -100,7 +102,7 @@ func (ps pairset) forEachUntil(f func(p int32) bool) {
 }
 
 // hash is the word-parallel mixing hash of sat.HashWords; canonical form
-// makes it a set hash. Deterministic across runs (no seed) so bucket
+// makes it a set hash. Deterministic across runs (no seed) so probe
 // behavior never depends on hash randomization — though no output depends
 // on the hash at all, since IDs come from first-intern order.
 func (ps pairset) hash() uint64 { return sat.HashWords(ps) }
@@ -225,7 +227,7 @@ func (ar *int32Arena) alloc(n int) []int32 {
 // indices. byGID is the ID → set directory every reader (expansion, the
 // progress phase, diagnostics) goes through; the sets live in arena.
 type internTable struct {
-	buckets map[uint64][]int32 // set hash → IDs
+	index   idindex.Index // set hash → IDs
 	byGID   []pairset
 	arena   *pairArena
 	lookups int
@@ -233,22 +235,20 @@ type internTable struct {
 }
 
 func newInternTable() *internTable {
-	return &internTable{buckets: make(map[uint64][]int32), arena: newPairArena()}
+	return &internTable{arena: newPairArena()}
 }
 
 // intern returns ps's canonical ID, copying ps into the arena under the
 // next ID if it is new. hit reports whether the set was already interned.
 func (t *internTable) intern(ps pairset, h uint64) (id int32, hit bool) {
 	t.lookups++
-	for _, cand := range t.buckets[h] {
-		if t.byGID[cand].equal(ps) {
-			t.hits++
-			return cand, true
-		}
+	if id := t.index.Find(h, func(id int32) bool { return t.byGID[id].equal(ps) }); id >= 0 {
+		t.hits++
+		return id, true
 	}
 	id = int32(len(t.byGID))
 	t.byGID = append(t.byGID, t.arena.place(ps))
-	t.buckets[h] = append(t.buckets[h], id)
+	t.index.Insert(h, id)
 	return id, false
 }
 
@@ -270,22 +270,25 @@ const memoFail int32 = -2
 // is independent of how much of the environment was materialized when it
 // was first computed.
 type seedMemo struct {
-	buckets map[uint64][]int32
-	seeds   []pairset
-	res     []int32 // canonical state ID, or memoFail
-	arena   *pairArena
+	index idindex.Index // seed-set hash → entry
+	seeds []pairset
+	res   []int32 // canonical state ID, or memoFail
+	arena *pairArena
 }
 
 func newSeedMemo() *seedMemo {
-	return &seedMemo{buckets: make(map[uint64][]int32), arena: newPairArena()}
+	return &seedMemo{arena: newPairArena()}
+}
+
+// find returns the entry holding a canonical seed set, or -1.
+func (m *seedMemo) find(seeds pairset, h uint64) int32 {
+	return m.index.Find(h, func(i int32) bool { return m.seeds[i].equal(seeds) })
 }
 
 // lookup returns the memoized closure result for a canonical seed set.
 func (m *seedMemo) lookup(seeds pairset, h uint64) (res int32, found bool) {
-	for _, cand := range m.buckets[h] {
-		if m.seeds[cand].equal(seeds) {
-			return m.res[cand], true
-		}
+	if i := m.find(seeds, h); i >= 0 {
+		return m.res[i], true
 	}
 	return 0, false
 }
@@ -295,15 +298,13 @@ func (m *seedMemo) lookup(seeds pairset, h uint64) (res int32, found bool) {
 // ignored: both computed the same closure, so the existing entry already
 // holds the same result.
 func (m *seedMemo) put(seeds pairset, h uint64, res int32) {
-	for _, cand := range m.buckets[h] {
-		if m.seeds[cand].equal(seeds) {
-			return
-		}
+	if m.find(seeds, h) >= 0 {
+		return
 	}
 	i := int32(len(m.seeds))
 	m.seeds = append(m.seeds, m.arena.place(seeds))
 	m.res = append(m.res, res)
-	m.buckets[h] = append(m.buckets[h], i)
+	m.index.Insert(h, i)
 }
 
 func (m *seedMemo) bytes() int64 { return m.arena.reserved }

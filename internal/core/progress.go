@@ -463,9 +463,13 @@ func (d *deriver) refreshReady(alive []bool, affected []int32) {
 // the condensation in Tarjan's emission order, which is successors-first.
 func (d *deriver) refreshReadyNarrow(alive []bool, cols []int32) {
 	pt := d.prog
-	want := 0 // exact Tarjan node count: one per invalidated slot
+	want := 0  // exact Tarjan node count: one per invalidated slot
+	edges := 0 // successor bound: every B row entry of every slot
 	for _, ci := range cols {
 		want += len(pt.combos[ci])
+		for _, pb := range pt.combos[ci] {
+			edges += len(pt.ints[pb]) + len(pt.ext[pb])
+		}
 		sn := pt.slotNode[ci]
 		for i := range sn {
 			sn[i] = -1
@@ -473,10 +477,11 @@ func (d *deriver) refreshReadyNarrow(alive []bool, cols []int32) {
 	}
 
 	// Iterative Tarjan over the invalid-column combo graph. The per-node
-	// slices are sized exactly (want is exact); the arena grows as edges
-	// resolve but keeps its capacity across sweeps.
+	// slices are sized exactly (want is exact) and the arena to its bound,
+	// so no append below reallocates; all keep their capacity across
+	// sweeps.
 	nodes := growCap(pt.tnodes, want)
-	arena := growCap(pt.tarena, 2*want)
+	arena := growCap(pt.tarena, edges)
 	low := growCap(pt.tlow, want)
 	onStack := growCap(pt.tonStack, want)
 	sccOf := growCap(pt.tsccOf, want)
